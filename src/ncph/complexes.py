@@ -5,7 +5,8 @@ complex on the ordered positive roots, the order complexes of posets with
 their reduced rational homology, the facet-boundary cycles that give an
 explicit homology basis, and the Moebius number.
 
-Homology is computed over the rationals from exact boundary-matrix ranks.
+Homology is computed over the rationals from exact ranks of the sparse
+boundary matrices, found by column reduction.
 The reduced chain complex carries the empty simplex in degree -1, so the
 degenerate rank-1 cases fall out of the same formulas.
 """
@@ -18,8 +19,6 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coxeter import BudgetExceededError, CoxeterSystem
-from .fields import rationals
-from .linalg import Matrix
 from .rootorder import OrderedRoots
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
@@ -355,16 +354,44 @@ class Chain:
         return f"Chain({len(self.coefficients)} terms, dim {self.support_dim()})"
 
 
-def boundary_matrix(lower: list[tuple], upper: list[tuple]) -> Matrix:
-    """Boundary map from span(upper) to span(lower), over the rationals."""
-    qq = rationals()
-    pos = {s: i for i, s in enumerate(lower)}
-    rows = [[qq.zero for _ in upper] for _ in lower]
-    for j, simplex in enumerate(upper):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            rows[pos[face]][j] = qq.from_rational(1 if i % 2 == 0 else -1)
-    return Matrix(qq, rows)
+def _sparse_rank(columns: Iterable[dict[int, Fraction]],
+                 pivots: Optional[dict[int, dict[int, Fraction]]] = None) -> int:
+    """Exact rank over the rationals of the matrix with the given sparse
+    columns (row index -> nonzero entry).
+
+    Column reduction by lowest nonzero row: a column is reduced against the
+    earlier pivot column with the same lowest row until its lowest row is
+    new (it becomes a pivot) or it vanishes.  With ``pivots`` (lowest row ->
+    reduced column, pivot entry 1) passed in, the reduction continues from
+    those columns and the count is the rank the new columns add.
+    """
+    if pivots is None:
+        pivots = {}
+    added = 0
+    for column in columns:
+        col = dict(column)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                inv = 1 / col[low]
+                pivots[low] = {row: value * inv for row, value in col.items()}
+                added += 1
+                break
+            factor = col[low]
+            for row, value in other.items():
+                new = col.get(row, 0) - factor * value
+                if new:
+                    col[row] = new
+                else:
+                    del col[row]
+    return added
+
+
+def _boundary_column(simplex: tuple, pos: dict) -> dict[int, Fraction]:
+    """The boundary of an oriented simplex, keyed by the faces' positions."""
+    return {pos[simplex[:i] + simplex[i + 1:]]: Fraction(-1 if i % 2 else 1)
+            for i in range(len(simplex))}
 
 
 def betti_numbers(complex_: SimplicialComplex,
@@ -375,17 +402,13 @@ def betti_numbers(complex_: SimplicialComplex,
     top = max(by_dim)
     ranks = {}
     for k in range(0, top + 1):
-        ranks[k] = boundary_matrix(by_dim[k - 1], by_dim[k]).rank()
+        pos = {s: i for i, s in enumerate(by_dim[k - 1])}
+        ranks[k] = _sparse_rank(_boundary_column(s, pos) for s in by_dim[k])
     ranks[top + 1] = 0
     betti = {}
     for k in range(-1, top + 1):
         betti[k] = len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks[k + 1]
     return betti
-
-
-def proper_part_betti(lattice_size: int, leq, budget: int = DEFAULT_SIMPLEX_BUDGET
-                      ) -> dict[int, int]:
-    return betti_numbers(order_complex(lattice_size, leq), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +457,14 @@ def _parity(perm: Sequence[int]) -> int:
 def cycle_space_rank(cycles: list[Chain], complex_: SimplicialComplex,
                      dim: int) -> int:
     """Rank of the cycle images in reduced homology of the given dimension."""
-    qq = rationals()
     by_dim = complex_.simplices_by_dim()
     basis = by_dim.get(dim, [()] if dim == -1 else [])
     pos = {s: i for i, s in enumerate(basis)}
-    rows = []
-    boundary_rows = []
-    for upper in by_dim.get(dim + 1, []):
-        chain = Chain({upper: 1}).boundary()
-        boundary_rows.append(_chain_row(chain, pos, qq))
-    for cy in cycles:
-        rows.append(_chain_row(cy, pos, qq))
-    if not rows:
-        return 0
-    total = Matrix(qq, rows + boundary_rows).rank() if (rows + boundary_rows) else 0
-    base = Matrix(qq, boundary_rows).rank() if boundary_rows else 0
-    return total - base
-
-
-def _chain_row(chain: Chain, pos: dict, qq):
-    row = [qq.zero] * len(pos)
-    for simplex, coeff in chain.coefficients.items():
-        row[pos[simplex]] = qq.from_rational(coeff)
-    return row
+    pivots: dict[int, dict[int, Fraction]] = {}
+    _sparse_rank((_boundary_column(s, pos) for s in by_dim.get(dim + 1, [])),
+                 pivots)
+    return _sparse_rank(({pos[s]: c for s, c in cy.coefficients.items()}
+                         for cy in cycles), pivots)
 
 
 def mobius_number(ncp: NcpLattice) -> int:

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from .arrangement import Chamber, bounded_slice
-from .complexes import SimplicialComplex, order_complex
+from .complexes import SimplicialComplex, betti_numbers, order_complex
 from .coxeter import CoxeterSystem
-from .linalg import Matrix, Vector, dot, vec_key, vec_scale
+from .fields import rationals
+from .linalg import Matrix, Vector, dot, vec_key, vec_scale, vec_sub
 from .rootorder import OrderedRoots
 
 
@@ -105,23 +106,32 @@ def project_to_slice(x: Vector, v: Vector) -> Vector:
 @dataclass(frozen=True)
 class Flat:
     """An intersection of reflection hyperplanes, canonically the reduced
-    echelon basis of the span of its defining normals."""
+    echelon basis of the span of its defining normals, together with the
+    positions in ``system.reflections`` of every hyperplane containing it."""
 
     normals: tuple   # tuple of Vectors, RREF rows
     key: tuple
+    reflections: frozenset[int]
 
     @property
     def codim(self) -> int:
         return len(self.normals)
 
 
-def _make_flat(field, rows) -> Flat:
-    if rows:
-        rref = Matrix(field, rows).rref()
-        reduced = tuple(r for r in rref.rows if not all(e.is_zero() for e in r))
-    else:
-        reduced = ()
-    return Flat(reduced, tuple(vec_key(r) for r in reduced))
+def _rref_rows(field, rows) -> tuple:
+    if not rows:
+        return ()
+    rref = Matrix(field, rows).rref()
+    return tuple(r for r in rref.rows if not all(e.is_zero() for e in r))
+
+
+def _in_row_space(rref: tuple, v: Vector) -> bool:
+    """Whether v reduces to zero against the rows of a reduced echelon form."""
+    for row in rref:
+        pivot = next(i for i, e in enumerate(row) if not e.is_zero())
+        if not v[pivot].is_zero():
+            v = vec_sub(v, vec_scale(row, v[pivot]))
+    return all(e.is_zero() for e in v)
 
 
 def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
@@ -131,37 +141,41 @@ def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
     """
     field = system.field
     normals = [root for _, root in system.reflections]
-    whole = _make_flat(field, [])
-    hyperplanes = []
-    seen = {whole.key: whole}
-    for h in normals:
-        f = _make_flat(field, [h])
-        if f.key not in seen:
-            seen[f.key] = f
-            hyperplanes.append(f)
-    frontier = list(hyperplanes)
+    seen: dict[tuple, Flat] = {}
+
+    def flat_of(rref: tuple) -> Flat:
+        key = tuple(vec_key(r) for r in rref)
+        if key not in seen:
+            seen[key] = Flat(rref, key, frozenset(
+                i for i, h in enumerate(normals) if _in_row_space(rref, h)))
+        return seen[key]
+
+    frontier = [flat_of(())]
     while frontier:
-        nxt = []
+        covers: dict[tuple, Flat] = {}
         for flat in frontier:
-            for h in normals:
-                cand = _make_flat(field, list(flat.normals) + [h])
-                if cand.codim == flat.codim:
-                    continue
-                if cand.key not in seen:
-                    seen[cand.key] = cand
-                    nxt.append(cand)
-        frontier = nxt
+            # a hyperplane containing a cover already found meets the flat
+            # in that cover
+            done = set(flat.reflections)
+            for i, h in enumerate(normals):
+                if i not in done:
+                    cover = flat_of(_rref_rows(field, list(flat.normals) + [h]))
+                    if cover.codim != flat.codim + 1:
+                        raise EmbedError("a hyperplane not containing a flat "
+                                         "does not cut its dimension by one")
+                    done |= cover.reflections
+                    covers[cover.key] = cover
+        frontier = list(covers.values())
     return sorted(seen.values(), key=lambda f: (f.codim, f.key))
 
 
 def flat_leq(field, a: Flat, b: Flat) -> bool:
-    """Reverse inclusion order: a <= b when a contains b as a subspace."""
-    if a.codim > b.codim:
-        return False
-    if not a.normals:
-        return True
-    stacked = Matrix(field, list(b.normals) + list(a.normals))
-    return stacked.rank() == b.codim
+    """Reverse inclusion order: a <= b when a contains b as a subspace.
+
+    Every flat is the intersection of the hyperplanes containing it, so
+    this holds exactly when every hyperplane containing a contains b.
+    """
+    return a.reflections <= b.reflections
 
 
 def intersection_lattice_proper_betti(system: CoxeterSystem,
@@ -169,7 +183,6 @@ def intersection_lattice_proper_betti(system: CoxeterSystem,
     """Reduced Betti numbers of the order complex of the proper part."""
     flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
-    from .complexes import betti_numbers
     cx = order_complex(len(proper),
                        lambda i, j: flat_leq(system.field, proper[i], proper[j]))
     return betti_numbers(cx, budget)
@@ -269,7 +282,7 @@ def embedding_report(system: CoxeterSystem, vc: VertexComplex,
 
     columns_disjoint = all(h <= 1 for h in hits_per_chamber)
     columns_nonempty = all(w >= 1 for w in column_weights)
-    qq_field = _rational_field()
+    qq_field = rationals()
     rank = Matrix(qq_field, [[qq_field.from_rational(e) for e in row]
                              for row in incidence]).rank() if incidence else 0
     return EmbeddingReport(
@@ -286,7 +299,3 @@ def embedding_report(system: CoxeterSystem, vc: VertexComplex,
         bounded_count=len(bounded_positions),
     )
 
-
-def _rational_field():
-    from .fields import rationals
-    return rationals()

@@ -16,7 +16,7 @@ from .complexes import (ComplexError, cycle_space_rank, fiber_report,
 from .coxeter import BudgetExceededError
 from .embed import (EmbedError, dot_property_report,
                     intersection_lattice_proper_betti, rays_as_flats_check)
-from .linalg import dot
+from .linalg import Matrix, dot
 from .pipeline import Bundle
 from .rootorder import RootOrderError
 
@@ -39,11 +39,17 @@ def _suite_rootorder(bundle: Bundle) -> CheckResult:
         return CheckResult("rootorder", False, {"error": str(err)}, "failed")
     system = bundle.system
     expected = system.rank * system.h // 2
-    return CheckResult("rootorder", ordered.count == expected, {
+    independent = Matrix(system.field, ordered.tau).rank() == system.rank
+    product = system.e_index   # r(tau_n) ... r(tau_1)
+    for t in reversed(ordered.tau_reflections()):
+        product = system.product(product, t)
+    product_is_c = product == system.c_index
+    passed = ordered.count == expected and independent and product_is_c
+    return CheckResult("rootorder", passed, {
         "count": ordered.count,
         "expected": expected,
-        "tailIndependent": True,
-        "tailProductIsC": True,
+        "tailIndependent": independent,
+        "tailProductIsC": product_is_c,
     })
 
 

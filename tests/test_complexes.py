@@ -3,15 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncph.complexes import (Chain, ComplexError, SimplicialComplex,
-                            betti_numbers, build_ncp, build_root_complex,
-                            cycle_space_rank, facet_boundary_cycles,
-                            fiber_report, full_subcomplex, mobius_number,
+                            _sparse_rank, betti_numbers, build_ncp,
+                            build_root_complex, cycle_space_rank,
+                            facet_boundary_cycles, fiber_report,
+                            full_subcomplex, mobius_number,
                             order_complex, poset_map_report,
                             restricted_complex, simplex_element,
                             simplex_length_rule_failures)
 from ncph.coxeter import BudgetExceededError
+from ncph.embed import flat_leq, intersection_lattice
+from ncph.fields import rationals
+from ncph.linalg import Matrix
 from conftest import bundle_for
 
 
@@ -164,3 +169,57 @@ def test_full_subcomplex():
     cx = SimplicialComplex([0, 1, 2, 3], [(0, 1, 2), (2, 3)])
     sub = full_subcomplex(cx, {0, 1, 3})
     assert sub.facets == ((0, 1), (3,))
+
+
+# -- the sparse rank against dense elimination --------------------------------
+
+def _dense_rank(entries: list[list[int]]) -> int:
+    qq = rationals()
+    return Matrix(qq, [[qq.from_rational(e) for e in row]
+                       for row in entries]).rank()
+
+
+def _columns(entries: list[list[int]]) -> list[dict[int, Fraction]]:
+    ncols = len(entries[0]) if entries else 0
+    return [{i: Fraction(row[j]) for i, row in enumerate(entries) if row[j]}
+            for j in range(ncols)]
+
+
+def _lattice_order_complex(system):
+    flats = intersection_lattice(system)
+    proper = [f for f in flats if 0 < f.codim < system.rank]
+    return order_complex(len(proper), lambda i, j: flat_leq(
+        system.field, proper[i], proper[j]))
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3)])
+def test_sparse_rank_matches_dense_on_every_boundary_matrix(label, rank):
+    bundle = bundle_for(label, rank)
+    for cx in (bundle.ncp_order_complex, _lattice_order_complex(bundle.system)):
+        by_dim = cx.simplices_by_dim()
+        by_dim[-1] = [()]
+        for k in range(0, max(by_dim) + 1):
+            row_of = {s: i for i, s in enumerate(by_dim[k - 1])}
+            entries = [[0] * len(by_dim[k]) for _ in by_dim[k - 1]]
+            for j, simplex in enumerate(by_dim[k]):
+                for i in range(len(simplex)):
+                    face = simplex[:i] + simplex[i + 1:]
+                    entries[row_of[face]][j] = -1 if i % 2 else 1
+            assert _sparse_rank(_columns(entries)) == _dense_rank(entries)
+
+
+@st.composite
+def _signed_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return [[draw(st.sampled_from((-1, 0, 1))) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_matrices(), st.integers(0, 6))
+def test_sparse_rank_matches_dense_on_random_signed_matrices(entries, split):
+    columns = _columns(entries)
+    assert _sparse_rank(columns) == _dense_rank(entries)
+    pivots = {}
+    first = _sparse_rank(columns[:split], pivots)
+    assert first + _sparse_rank(columns[split:], pivots) == _dense_rank(entries)

@@ -1,12 +1,15 @@
 """The vertex operator, its dot identities, flats, and the incidence matrix."""
 
+import math
+
 import pytest
 
+from ncph.complexes import order_complex
 from ncph.embed import (EmbedError, dot_property_report, facet_chambers,
                         flat_leq, intersection_lattice,
                         intersection_lattice_proper_betti, project_to_slice,
                         rays_as_flats_check, vertex_operator)
-from ncph.linalg import dot, vec_scale
+from ncph.linalg import Matrix, dot, vec_scale
 from conftest import bundle_for
 
 
@@ -71,6 +74,44 @@ def test_flat_order_is_reverse_inclusion(a2):
     whole, line = flats[0], flats[1]
     assert flat_leq(a2.system.field, whole, line)
     assert not flat_leq(a2.system.field, line, whole)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3)])
+def test_flat_order_agrees_with_the_rank_criterion(label, rank):
+    system = bundle_for(label, rank).system
+    flats = intersection_lattice(system)
+    for a in flats:
+        for b in flats:
+            # a <= b iff the normals of a lie in the span of the normals of b
+            stacked = Matrix(system.field, list(b.normals) + list(a.normals))
+            assert flat_leq(system.field, a, b) == (stacked.rank() == b.codim)
+
+
+@pytest.mark.parametrize("label,rank,exponents", [
+    ("A", 3, (1, 2, 3)), ("B", 3, (1, 3, 5)), ("H", 3, (1, 5, 9)),
+    ("A", 4, (1, 2, 3, 4)), ("D", 4, (1, 3, 3, 5))])
+def test_intersection_lattice_mobius_number_is_the_product_of_exponents(
+        label, rank, exponents):
+    system = bundle_for(label, rank).system
+    flats = intersection_lattice(system)   # sorted by codim: a linear extension
+    mu = []
+    for x in flats:
+        below = [m for y, m in zip(flats, mu) if y.reflections < x.reflections]
+        mu.append(-sum(below) if x.reflections else 1)
+    mobius = mu[-1]
+    # P. Hall: the Moebius number is the reduced Euler characteristic of the
+    # order complex of the proper part, counted here from its faces alone
+    proper = [f for f in flats if 0 < f.codim < rank]
+    cx = order_complex(len(proper),
+                       lambda i, j: proper[i].reflections <= proper[j].reflections)
+    euler = -1 + sum((-1) ** k * len(faces)
+                     for k, faces in cx.simplices_by_dim().items())
+    assert mobius == euler
+    # Zaslavsky, Orlik-Solomon: mu(L) = (-1)^n e_1 ... e_n, the top Betti number
+    betti = intersection_lattice_proper_betti(system)
+    assert mobius == (-1) ** rank * math.prod(exponents)
+    assert betti == {k: (math.prod(exponents) if k == rank - 2 else 0)
+                     for k in range(-1, rank - 1)}
 
 
 def test_facet_chambers_properties(b3):

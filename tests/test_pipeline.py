@@ -1,5 +1,6 @@
 """RunConfig hashing, the bundle cache, and exact serialization."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -78,3 +79,29 @@ def test_run_suites_subset():
     report = run_suites(bundle, ["mobius", "betti"])
     assert [c["suite"] for c in report["checks"]] == ["mobius", "betti"]
     assert report["passed"] is True
+
+
+def _rootorder_details(bundle, roots, reflection_index):
+    """Run the rootorder suite on the bundle's root order with its list of
+    roots and reflections replaced."""
+    bundle.__dict__["ordered"] = dataclasses.replace(
+        bundle.ordered, roots=roots, reflection_index=reflection_index)
+    check = run_suites(bundle, ["rootorder"])["checks"][0]
+    return check["passed"], check["details"]
+
+
+def test_rootorder_suite_reports_the_tail_checks_it_runs():
+    bundle = Bundle(RunConfig(type_label="A", rank=2, cache=False))
+    roots, refl = bundle.ordered.roots, bundle.ordered.reflection_index
+    passed, details = _rootorder_details(bundle, roots, refl)
+    assert passed and details["tailIndependent"] and details["tailProductIsC"]
+    # the tail in the opposite order is independent but multiplies to c^-1
+    passed, details = _rootorder_details(
+        bundle, roots[:1] + roots[:0:-1], refl[:1] + refl[:0:-1])
+    assert not passed
+    assert details["tailIndependent"] and not details["tailProductIsC"]
+    # a repeated root makes the tail dependent, and its product is e
+    passed, details = _rootorder_details(
+        bundle, roots[:1] + [roots[2], roots[2]], refl[:1] + [refl[2], refl[2]])
+    assert not passed
+    assert not details["tailIndependent"] and not details["tailProductIsC"]
