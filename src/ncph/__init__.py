@@ -11,9 +11,8 @@ are made in exact real algebraic arithmetic.
 from .coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                       NotFiniteTypeError, RealizationError, bipartite_order)
 from .fields import (FieldError, NumberField, Scalar, field_create, rationals,
-                     quadratic_field, biquadratic_field, cosine_field,
-                     scalar_sign)
-from .linalg import Matrix, dot, mat_inverse, mat_kernel, mat_rank
+                     quadratic_field, biquadratic_field, cosine_field)
+from .linalg import Matrix, dot
 from .pipeline import Bundle, RunConfig, build
 from .rootorder import OrderedRoots, RootOrderError, ordered_roots
 
@@ -24,6 +23,5 @@ __all__ = [
     "FieldError", "Matrix", "NotFiniteTypeError", "NumberField",
     "OrderedRoots", "RealizationError", "RootOrderError", "RunConfig",
     "Scalar", "bipartite_order", "biquadratic_field", "build", "cosine_field",
-    "dot", "field_create", "mat_inverse", "mat_kernel", "mat_rank",
-    "ordered_roots", "quadratic_field", "rationals", "scalar_sign",
+    "dot", "field_create", "ordered_roots", "quadratic_field", "rationals",
 ]

@@ -147,7 +147,7 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
     order = sorted(range(system.order), key=system.element_sort_key)
     out = []
     for w in order:
-        mat = system.elements[w]
+        mat = system.matrix(w)
         out.append(Chamber(
             element=w,
             rays=[mat.apply(d) for d in system.dual_rays],

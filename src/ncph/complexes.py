@@ -74,10 +74,6 @@ class SimplicialComplex:
             out.extend(level)
         return out
 
-    def has_simplex(self, simplex: Sequence[int]) -> bool:
-        s = set(simplex)
-        return any(s <= set(f) for f in self.facets)
-
     def __repr__(self):
         return (f"SimplicialComplex({len(self.vertices)} vertices, "
                 f"{len(self.facets)} facets, dim {self.dim})")

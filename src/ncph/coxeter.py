@@ -4,21 +4,26 @@ A diagram is a Coxeter matrix; the system realizes its simple roots as unit
 inward normals in R^n over a number field chosen from a small catalog, with
 the simple roots permuted into a bipartite order (an orthonormal block
 followed by another orthonormal block).  The rotation c is the product of
-the simple reflections in that order.  The group is generated breadth-first
-as exact orthogonal matrices; reflection length comes from fixed-space
-codimension and is cross-checked elsewhere against a breadth-first word
-oracle.
+the simple reflections in that order.  The group acts on the nh roots, and
+each element is stored as a permutation of root ids (the permutation model
+of CHEVIE/GAP): the group is generated breadth-first on integer tuples, and
+products, inverses and the absolute order never touch the number field.
+Reflection length is the fixed-space codimension, a class function, so it
+costs one exact rank per conjugacy class; it is cross-checked elsewhere
+against a breadth-first word oracle.  The exact orthogonal matrix of an
+element is built only on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .fields import (FieldError, NumberField, Scalar, biquadratic_field,
                      cosine_field, quadratic_field, rationals)
-from .linalg import Matrix, Vector, dot, vec_neg
+from .linalg import Matrix, Vector, dot, vec_key, vec_neg, vec_sub
 
 DEFAULT_GROUP_CAP = 2_000_000
 
@@ -219,8 +224,7 @@ def realize_roots(diagram: CoxeterDiagram, perm: tuple[int, ...], s: int
     last_err: Optional[Exception] = None
     for field in _candidate_fields(labels):
         try:
-            gram = [[_gram_entry(field, diagram.matrix[perm[i]][perm[j]])
-                     for j in range(n)] for i in range(n)]
+            gram = _gram(field, diagram, perm)
         except FieldError as err:
             last_err = err
             continue
@@ -244,6 +248,14 @@ def realize_roots(diagram: CoxeterDiagram, perm: tuple[int, ...], s: int
         _check_gram(roots, gram)
         return field, roots
     raise (last_err or RealizationError("field catalog exhausted"))
+
+
+def _gram(field: NumberField, diagram: CoxeterDiagram,
+          perm: tuple[int, ...]) -> list[list[Scalar]]:
+    """The Gram matrix -cos(pi/m_ij) of the unit simple roots, permuted."""
+    n = diagram.rank
+    return [[_gram_entry(field, diagram.matrix[perm[i]][perm[j]])
+             for j in range(n)] for i in range(n)]
 
 
 def _gram_entry(field: NumberField, m: int) -> Scalar:
@@ -279,120 +291,235 @@ def reflection_matrix(field: NumberField, root: Vector) -> Matrix:
     return Matrix(field, rows)
 
 
+def _reflect(v: Vector, root: Vector) -> Vector:
+    """v reflected in the hyperplane normal to a unit root."""
+    f = 2 * dot(v, root)
+    return tuple(x - f * y for x, y in zip(v, root))
+
+
+def _compose(w: tuple[int, ...], r: tuple[int, ...]) -> tuple[int, ...]:
+    """The root permutation of the product w r: k -> w(r(k)).  There are
+    always at least two roots, so ``itemgetter`` returns a tuple."""
+    return itemgetter(*r)(w)
+
+
+def _conjugate(g: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
+    """g w g for an involution g."""
+    return _compose(g, _compose(w, g))
+
+
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(w)
+    for k, image in enumerate(w):
+        inv[image] = k
+    return tuple(inv)
+
+
+def _order(w: tuple[int, ...]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(w)
+    order = 1
+    for start in range(len(w)):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = w[k]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 class CoxeterSystem:
-    """A realized finite Coxeter system with its generated group."""
+    """A realized finite Coxeter system with its generated group.
+
+    The group acts faithfully on the root system: element ``i`` is the
+    permutation ``perms[i]`` of root ids, ``perms[i][k]`` being the id of
+    w_i(``roots[k]``); ids ``0..n-1`` are the simple roots.  Products,
+    inverses, conjugation and the absolute order are integer work; exact
+    matrices are built on demand by :meth:`matrix`.
+    """
 
     def __init__(self, diagram: CoxeterDiagram, swap_classes: bool = False,
                  group_cap: int = DEFAULT_GROUP_CAP):
+        perm, s = bipartite_order(diagram, swap=swap_classes)
+        field, simple_roots = realize_roots(diagram, perm, s)
+        self._build(diagram, perm, s, field, simple_roots, group_cap, None)
+
+    @classmethod
+    def from_realization(cls, diagram: CoxeterDiagram, swap_classes: bool,
+                         field: NumberField, simple_roots: list[Vector],
+                         group_cap: int = DEFAULT_GROUP_CAP,
+                         lengths: Optional[list[int]] = None) -> "CoxeterSystem":
+        """The system on given unit simple roots (in bipartite order), such
+        as ones read back from a cache.  The roots must satisfy the Gram
+        identities of the diagram; ``lengths``, when given, replaces the
+        per-class rank computation and must have one entry per element.
+        """
+        perm, s = bipartite_order(diagram, swap=swap_classes)
+        if len(simple_roots) != diagram.rank:
+            raise RealizationError("wrong number of simple roots")
+        _check_gram(simple_roots, _gram(field, diagram, perm))
+        system = cls.__new__(cls)
+        system._build(diagram, perm, s, field, list(simple_roots), group_cap,
+                      lengths)
+        return system
+
+    # -- construction helpers -------------------------------------------------
+
+    def _build(self, diagram, perm, s, field, simple_roots, group_cap, lengths):
         self.diagram = diagram
         self.rank = diagram.rank
-        self.perm, self.s = bipartite_order(diagram, swap=swap_classes)
-        self.field, self.simple_roots = realize_roots(diagram, self.perm, self.s)
-        self.simple_reflections = [reflection_matrix(self.field, a)
-                                   for a in self.simple_roots]
+        self.perm, self.s = perm, s
+        self.field, self.simple_roots = field, simple_roots
+        self.simple_reflections = [reflection_matrix(field, a)
+                                   for a in simple_roots]
         c = self.simple_reflections[0]
         for r in self.simple_reflections[1:]:
             c = c * r
         self.coxeter_element = c
-        self.identity = Matrix.identity(self.field, self.rank)
-        self.h = self._order_of(c)
+        self.identity = Matrix.identity(field, self.rank)
 
-        root_matrix = Matrix(self.field, self.simple_roots)
-        inv = root_matrix.inverse()
-        self.dual_rays = [tuple(inv.rows[r][i] for r in range(self.rank))
-                          for i in range(self.rank)]
-        ones = tuple(self.field.one for _ in range(self.rank))
+        inv = Matrix(field, simple_roots).inverse()
+        # A^-1, where A has the simple roots as columns; its rows are the
+        # extreme rays of the fundamental chamber
+        self._simple_inverse = inv.transpose()
+        self.dual_rays = list(self._simple_inverse.rows)
+        ones = tuple(field.one for _ in range(self.rank))
         self.interior_point = inv.apply(ones)
+        self._matrices: dict[int, Matrix] = {}
 
+        self._close_roots()
         self._generate_group(group_cap)
         self._find_reflections()
-        self._product_cache: dict[tuple[int, int], int] = {}
+        if lengths is None:
+            self.lengths = self._class_lengths()
+        elif len(lengths) == self.order:
+            self.lengths = list(lengths)
+        else:
+            raise ValueError(f"{len(lengths)} lengths for {self.order} elements")
 
-    # -- construction helpers -------------------------------------------------
-
-    def _order_of(self, mat: Matrix) -> int:
-        power = mat
-        for k in range(1, 1000):
-            if power == self.identity:
-                return k
-            power = power * mat
-        raise NotFiniteTypeError("rotation c has unbounded order")
+    def _close_roots(self):
+        """All roots, as the orbit of the simple roots under the simple
+        reflections, and each simple reflection as a permutation of them."""
+        roots = list(self.simple_roots)
+        root_id = {vec_key(a): k for k, a in enumerate(roots)}
+        images: list[list[int]] = [[] for _ in roots]
+        head = 0
+        while head < len(roots):
+            v = roots[head]
+            head += 1
+            for a, row in zip(self.simple_roots, images):
+                image = _reflect(v, a)
+                key = vec_key(image)
+                k = root_id.get(key)
+                if k is None:
+                    k = root_id[key] = len(roots)
+                    roots.append(image)
+                row.append(k)
+        self.roots = roots
+        self.root_id = root_id
+        self.simple_perms = [tuple(row) for row in images]
+        self._negative = [root_id[vec_key(vec_neg(v))] for v in roots]
 
     def _generate_group(self, cap: int):
-        mats = [self.identity]
-        index = {self.identity.key(): 0}
+        identity = tuple(range(len(self.roots)))
+        perms = [identity]
+        index = {identity: 0}
         head = 0
-        while head < len(mats):
-            w = mats[head]
+        while head < len(perms):
+            w = perms[head]
             head += 1
-            for r in self.simple_reflections:
-                p = w * r
-                key = p.key()
-                if key not in index:
-                    if len(mats) >= cap:
+            for r in self.simple_perms:
+                p = _compose(w, r)
+                if p not in index:
+                    if len(perms) >= cap:
                         raise BudgetExceededError(
                             f"group generation exceeded cap {cap}")
-                    index[key] = len(mats)
-                    mats.append(p)
-        self.elements = mats
+                    index[p] = len(perms)
+                    perms.append(p)
+        self.perms = perms
         self.index_of = index
         self.e_index = 0
-        self.c_index = index[self.coxeter_element.key()]
-        self.lengths = [self._fixed_space_length(w) for w in mats]
-        self.inverses = [index[w.transpose().key()] for w in mats]
-
-    def _fixed_space_length(self, w: Matrix) -> int:
-        return (w - self.identity).rank()
+        c = self.simple_perms[0]
+        for r in self.simple_perms[1:]:
+            c = _compose(c, r)
+        self.c_index = index[c]
+        self.h = _order(c)
+        self.inverses = [index[_inverse(w)] for w in perms]
 
     def _find_reflections(self):
-        seen = {}
+        seen = {}   # group index of a reflection -> id of one of its roots
         queue = []
-        for a in self.simple_roots:
-            t = reflection_matrix(self.field, a)
-            i = self.index_of[t.key()]
+        for a, g in enumerate(self.simple_perms):
+            i = self.index_of[g]
             if i not in seen:
-                seen[i] = self._positive_side(a)
+                seen[i] = a
                 queue.append(i)
         head = 0
         while head < len(queue):
             i = queue[head]
             head += 1
-            root = seen[i]
-            for g in self.simple_reflections:
-                conj = g * self.elements[i] * g
-                j = self.index_of[conj.key()]
+            for g in self.simple_perms:
+                j = self.index_of[_conjugate(g, self.perms[i])]
                 if j not in seen:
-                    seen[j] = self._positive_side(g.apply(root))
+                    seen[j] = g[seen[i]]
                     queue.append(j)
         expected = self.rank * self.h // 2
         if len(seen) != expected:
             raise RealizationError(
                 f"found {len(seen)} reflections, expected nh/2 = {expected}")
-        self.reflections = sorted(seen.items())
-        self.root_of_reflection = dict(self.reflections)
+        self._reflection_of_root_id = [0] * len(self.roots)
+        self.reflections = []
+        for i, k in sorted(seen.items()):
+            if not self._is_positive(self.roots[k]):
+                k = self._negative[k]
+            self._reflection_of_root_id[k] = i
+            self._reflection_of_root_id[self._negative[k]] = i
+            self.reflections.append((i, self.roots[k]))
 
-    def _positive_side(self, root: Vector) -> Vector:
+    def _is_positive(self, root: Vector) -> bool:
         side = dot(root, self.interior_point).sign()
         if side == 0:
             raise RealizationError("root orthogonal to the chamber interior")
-        return root if side > 0 else vec_neg(root)
+        return side > 0
+
+    def _class_lengths(self) -> list[int]:
+        """Reflection length l(w) = codim Fix(w) = rank(w - I), a class
+        function: one exact rank per conjugacy class, spread over the class
+        by conjugating with the simple reflections.  The vectors w(a_j) - a_j
+        are the columns of (w - I) A, where A has the simple roots as
+        columns and is invertible."""
+        lengths = [-1] * self.order
+        for start, w in enumerate(self.perms):
+            if lengths[start] >= 0:
+                continue
+            value = Matrix(self.field, [
+                vec_sub(self.roots[w[j]], self.roots[j])
+                for j in range(self.rank)]).rank()
+            lengths[start] = value
+            stack = [start]
+            while stack:
+                x = self.perms[stack.pop()]
+                for g in self.simple_perms:
+                    y = self.index_of[_conjugate(g, x)]
+                    if lengths[y] < 0:
+                        lengths[y] = value
+                        stack.append(y)
+        return lengths
 
     # -- group queries ---------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perms)
 
     def length(self, i: int) -> int:
         return self.lengths[i]
 
     def product(self, i: int, j: int) -> int:
-        key = (i, j)
-        hit = self._product_cache.get(key)
-        if hit is None:
-            hit = self.index_of[(self.elements[i] * self.elements[j]).key()]
-            self._product_cache[key] = hit
-        return hit
+        return self.index_of[_compose(self.perms[i], self.perms[j])]
 
     def precedes(self, u: int, w: int) -> bool:
         """Absolute order: l(w) == l(u) + l(u^-1 w)."""
@@ -400,10 +527,21 @@ class CoxeterSystem:
         return self.lengths[w] == self.lengths[u] + self.lengths[rest]
 
     def reflection_of_root(self, root: Vector) -> int:
-        return self.index_of[reflection_matrix(self.field, root).key()]
+        return self._reflection_of_root_id[self.root_id[vec_key(root)]]
+
+    def matrix(self, i: int) -> Matrix:
+        """The orthogonal matrix of element i: R A^-1, where the columns of
+        A are the simple roots and those of R their images under w_i."""
+        m = self._matrices.get(i)
+        if m is None:
+            w = self.perms[i]
+            images = Matrix(self.field, [self.roots[w[j]]
+                                         for j in range(self.rank)])
+            m = self._matrices[i] = images.transpose() * self._simple_inverse
+        return m
 
     def element_sort_key(self, i: int):
-        return (self.lengths[i], self.elements[i].key())
+        return (self.lengths[i], self.matrix(i).key())
 
     def bfs_reflection_lengths(self) -> list[int]:
         """Independent oracle: minimal word length over all reflections."""

@@ -31,7 +31,7 @@ def export_ncp(bundle: Bundle) -> dict:
     elements = [{
         "id": pos,
         "length": ncp.length(pos),
-        "matrix": serialize.matrix(system.elements[ncp.elements[pos]]),
+        "matrix": serialize.matrix(system.matrix(ncp.elements[pos])),
     } for pos in range(ncp.size)]
     return {
         **_header(bundle),

@@ -662,10 +662,6 @@ class Scalar:
         return f"Scalar({list(self.coords)} @ {self.field.name})"
 
 
-def scalar_sign(x: Scalar) -> int:
-    return x.sign()
-
-
 # ---------------------------------------------------------------------------
 # catalog fields: quadratic, biquadratic and real-cyclotomic
 # ---------------------------------------------------------------------------

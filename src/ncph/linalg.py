@@ -7,15 +7,11 @@ inverse and linear solves; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fields import NumberField, Scalar
 
 Vector = tuple  # tuple[Scalar, ...]
-
-
-def vec(field: NumberField, entries) -> Vector:
-    return tuple(field.coerce(e) for e in entries)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -39,10 +35,6 @@ def dot(u: Vector, v: Vector) -> Scalar:
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
     return acc
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero() for a in u)
 
 
 def vec_key(u: Vector) -> tuple:
@@ -69,11 +61,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return Matrix(field, [[one if i == j else zero for j in range(n)]
                               for i in range(n)])
-
-    @staticmethod
-    def from_rows(rows: Sequence[Vector]) -> "Matrix":
-        field = rows[0][0].field
-        return Matrix(field, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -203,15 +190,3 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = rows[r][-1]
         return tuple(x)
-
-
-def mat_rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def mat_kernel(m: Matrix) -> list[Vector]:
-    return m.kernel()
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    return m.inverse()

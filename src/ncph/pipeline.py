@@ -2,8 +2,10 @@
 
 A RunConfig identifies a computation completely; two runs with equal
 configs produce byte-identical outputs.  The bundle builds each artifact on
-first use, and the generated group and root data can be cached on disk
-under a content hash of the config.
+first use.  The system's realization (field and simple roots), Coxeter
+number and reflection lengths can be cached on disk under a content hash of
+the config; a cached system is rebuilt from them by the same code as a
+fresh one, skipping the field search and the length ranks.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         facet_boundary_cycles, order_complex)
 from .coxeter import (DEFAULT_GROUP_CAP, CoxeterDiagram, CoxeterSystem)
 from .embed import EmbeddingReport, VertexComplex, embedding_report, vertex_complex
+from .fields import catalog_field_by_name
 from .rootorder import OrderedRoots, ordered_roots
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -160,78 +163,60 @@ def _write_system_cache(config: RunConfig, system: CoxeterSystem) -> None:
         "version": CACHE_VERSION,
         "config": json.loads(config.canonical_json()),
         "field": system.field.describe(),
-        "perm": list(system.perm),
-        "s": system.s,
         "h": system.h,
         "simpleRoots": [serialize.vector(r) for r in system.simple_roots],
-        "elements": [serialize.matrix(m) for m in system.elements],
         "lengths": system.lengths,
-        "reflections": [[i, serialize.vector(root)]
-                        for i, root in system.reflections],
     }
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _load_system_cache(config: RunConfig) -> Optional[CoxeterSystem]:
+    """The cached system, or None when there is no usable cache file: a
+    missing, unreadable, stale or malformed one is rebuilt by the caller."""
     path = config.cache_path()
     if not path.is_file():
         return None
     try:
         payload = json.loads(path.read_text())
-        if payload.get("version") != CACHE_VERSION:
+        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
             return None
         return _system_from_cache(config, payload)
-    except (ValueError, KeyError, OSError):
+    except (ValueError, ZeroDivisionError, OSError):
         return None
 
 
-def _system_from_cache(config: RunConfig, payload: dict) -> CoxeterSystem:
-    from .fields import NumberField, catalog_field_by_name, rationals
-    from .linalg import Matrix
+def _is_int(x) -> bool:
+    return type(x) is int
 
-    desc = payload["field"]
-    if desc["degree"] == 1:
-        field = rationals()
-    else:
-        # prefer the catalog singleton so cached and fresh values share a field
-        field = catalog_field_by_name(desc["name"], desc["minimalPolynomial"])
-        if field is None:
-            field = NumberField(desc["minimalPolynomial"],
-                                [Fraction(b) for b in desc["isolatingInterval"]],
-                                name=desc["name"])
-    system = CoxeterSystem.__new__(CoxeterSystem)
-    system.diagram = config.diagram()
-    system.rank = system.diagram.rank
-    system.perm = tuple(payload["perm"])
-    system.s = payload["s"]
-    system.field = field
-    system.h = payload["h"]
-    system.simple_roots = [serialize.vector_from(field, v)
-                           for v in payload["simpleRoots"]]
-    from .coxeter import reflection_matrix
-    system.simple_reflections = [reflection_matrix(field, a)
-                                 for a in system.simple_roots]
-    c = system.simple_reflections[0]
-    for r in system.simple_reflections[1:]:
-        c = c * r
-    system.coxeter_element = c
-    system.identity = Matrix.identity(field, system.rank)
-    root_matrix = Matrix(field, system.simple_roots)
-    inv = root_matrix.inverse()
-    system.dual_rays = [tuple(inv.rows[r][i] for r in range(system.rank))
-                        for i in range(system.rank)]
-    ones = tuple(field.one for _ in range(system.rank))
-    system.interior_point = inv.apply(ones)
-    system.elements = [serialize.matrix_from(field, m)
-                       for m in payload["elements"]]
-    system.index_of = {m.key(): i for i, m in enumerate(system.elements)}
-    system.e_index = system.index_of[system.identity.key()]
-    system.c_index = system.index_of[system.coxeter_element.key()]
-    system.lengths = list(payload["lengths"])
-    system.inverses = [system.index_of[m.transpose().key()]
-                       for m in system.elements]
-    system.reflections = [(i, serialize.vector_from(field, v))
-                          for i, v in payload["reflections"]]
-    system.root_of_reflection = dict(system.reflections)
-    system._product_cache = {}
-    return system
+
+def _is_list(x, length: Optional[int] = None) -> bool:
+    return isinstance(x, list) and (length is None or len(x) == length)
+
+
+def _system_from_cache(config: RunConfig, payload: dict) -> Optional[CoxeterSystem]:
+    """Rebuild the system from the cached field, simple roots and lengths
+    through the same table-building code as a fresh build.  None if a field
+    is missing or has the wrong type, or if the cached h differs; roots that
+    fail the Gram identities or a lengths list of the wrong size raise
+    ValueError."""
+    diagram = config.diagram()
+    n = diagram.rank
+    desc, h = payload.get("field"), payload.get("h")
+    roots, lengths = payload.get("simpleRoots"), payload.get("lengths")
+    if not (isinstance(desc, dict) and isinstance(desc.get("name"), str)
+            and _is_list(desc.get("minimalPolynomial"))
+            and all(_is_int(c) for c in desc["minimalPolynomial"])
+            and _is_int(h) and _is_list(lengths)
+            and all(_is_int(x) and 0 <= x <= n for x in lengths)
+            and _is_list(roots, n) and all(_is_list(r, n) for r in roots)):
+        return None
+    field = catalog_field_by_name(desc["name"], desc["minimalPolynomial"])
+    if field is None or not all(_is_list(x, field.degree)
+                                and all(isinstance(q, str) for q in x)
+                                for r in roots for x in r):
+        return None
+    system = CoxeterSystem.from_realization(
+        diagram, config.swap_classes, field,
+        [serialize.vector_from(field, r) for r in roots],
+        group_cap=config.group_cap, lengths=lengths)
+    return system if system.h == h else None

@@ -30,8 +30,3 @@ def scalar_from(field: NumberField, data) -> Scalar:
 
 def vector_from(field: NumberField, data) -> tuple:
     return tuple(scalar_from(field, x) for x in data)
-
-
-def matrix_from(field: NumberField, data):
-    from .linalg import Matrix
-    return Matrix(field, [vector_from(field, row) for row in data])

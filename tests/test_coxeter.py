@@ -1,8 +1,9 @@
 """Coxeter systems: bipartite order, realization, group, lengths, order."""
 
-import pytest
-
+import random
 from fractions import Fraction
+
+import pytest
 
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                           NotFiniteTypeError, bipartite_order,
@@ -68,7 +69,8 @@ def test_reflection_counts_match_nh2():
 
 def test_group_elements_are_orthogonal():
     system = CoxeterSystem(CoxeterDiagram.from_type("B", 2))
-    for w in system.elements:
+    for i in range(system.order):
+        w = system.matrix(i)
         assert w.transpose() * w == system.identity
 
 
@@ -81,10 +83,34 @@ def test_reflection_lengths():
         assert system.lengths[system.c_index] == c_len
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3)])
+@pytest.mark.parametrize("label,rank", [
+    ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+    ("H", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
 def test_length_equals_bfs_word_length(label, rank):
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
     assert system.bfs_reflection_lengths() == system.lengths
+
+
+def _pairs(system, sample):
+    everything = [(i, j) for i in range(system.order) for j in range(system.order)]
+    return everything if sample is None else random.Random(4).sample(everything, sample)
+
+
+@pytest.mark.parametrize("label,rank,sample", [("B", 3, None), ("H", 3, None),
+                                               ("F", 4, 400)])
+def test_permutation_product_indexes_the_matrix_product(label, rank, sample):
+    # second route: the integer product on root permutations against exact
+    # matrix multiplication of the elements' orthogonal matrices
+    system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
+    for k, g in enumerate(system.simple_perms):
+        assert system.matrix(system.index_of[g]) == system.simple_reflections[k]
+    assert system.matrix(system.c_index) == system.coxeter_element
+    assert system.matrix(system.e_index) == system.identity
+    for i, j in _pairs(system, sample):
+        assert system.matrix(system.product(i, j)) \
+            == system.matrix(i) * system.matrix(j)
+    for i in range(system.order):
+        assert system.matrix(system.inverses[i]) == system.matrix(i).transpose()
 
 
 def test_precedes_basics():
@@ -162,7 +188,8 @@ def test_invalid_diagrams():
 def test_c_is_alias_of_b():
     b = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
     c = CoxeterSystem(CoxeterDiagram.from_type("C", 3))
-    assert [m.key() for m in b.elements] == [m.key() for m in c.elements]
+    assert ([b.matrix(i).key() for i in range(b.order)]
+            == [c.matrix(i).key() for i in range(c.order)])
 
 
 def test_positive_roots_pair_with_reflections():
@@ -171,4 +198,4 @@ def test_positive_roots_pair_with_reflections():
         assert system.lengths[t] == 1
         assert dot(root, root) == system.field.one
         assert dot(root, system.interior_point).sign() > 0
-        assert reflection_matrix(system.field, root) == system.elements[t]
+        assert reflection_matrix(system.field, root) == system.matrix(t)

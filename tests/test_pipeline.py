@@ -39,8 +39,8 @@ def test_cache_write_and_load(tmp_path):
 
     reloaded = Bundle(RunConfig(type_label="B", rank=2, out_dir=str(tmp_path),
                                 cache=True)).system
-    assert [m.key() for m in reloaded.elements] \
-        == [m.key() for m in fresh_system.elements]
+    assert [reloaded.matrix(i).key() for i in range(reloaded.order)] \
+        == [fresh_system.matrix(i).key() for i in range(fresh_system.order)]
     assert reloaded.lengths == fresh_system.lengths
     assert reloaded.h == fresh_system.h
     assert [(i, tuple(r)) for i, r in reloaded.reflections] \
@@ -56,6 +56,84 @@ def test_corrupted_cache_falls_back_to_rebuild(tmp_path):
     assert rebuilt.order == 6
     # the rebuild repaired the cache file
     assert json.loads(path.read_text())["h"] == 3
+
+
+def _drop(key):
+    def mutate(payload):
+        del payload[key]
+        return payload
+    return mutate
+
+
+def _set(key, value):
+    def mutate(payload):
+        payload[key] = value
+        return payload
+    return mutate
+
+
+def _edit_list(*path, edit):
+    def mutate(payload):
+        target = payload
+        for key in path:
+            target = target[key]
+        edit(target)
+        return payload
+    return mutate
+
+
+MALFORMED = {
+    "missing field": _drop("field"),
+    "missing h": _drop("h"),
+    "missing simpleRoots": _drop("simpleRoots"),
+    "missing lengths": _drop("lengths"),
+    "null field": _set("field", None),
+    "null h": _set("h", None),
+    "null simpleRoots": _set("simpleRoots", None),
+    "null lengths": _set("lengths", None),
+    "field is a string": _set("field", "Q"),
+    "h is a string": _set("h", "3"),
+    "h is a bool": _set("h", True),
+    "lengths is a string": _set("lengths", "0,1,1,1,2,2"),
+    "lengths hold strings": _set("lengths", ["0", "1", "1", "1", "2", "2"]),
+    "lengths hold floats": _set("lengths", [0.0, 1.0, 1.0, 1.0, 2.0, 2.0]),
+    "length out of range": _set("lengths", [0, 1, 1, 1, 2, 7]),
+    "simpleRoots is a dict": _set("simpleRoots", {}),
+    "wrong h": _set("h", 4),
+    "truncated lengths": _edit_list("lengths", edit=list.pop),
+    "extended lengths": _edit_list("lengths", edit=lambda x: x.append(0)),
+    "truncated simpleRoots": _edit_list("simpleRoots", edit=list.pop),
+    "truncated root": _edit_list("simpleRoots", 0, edit=list.pop),
+    "truncated polynomial": _edit_list("field", "minimalPolynomial",
+                                       edit=list.pop),
+    "roots fail the Gram identities": _edit_list(
+        "simpleRoots", edit=lambda roots: roots.__setitem__(1, roots[0])),
+    "payload is a list": lambda payload: [payload],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_cache_is_rebuilt_and_rewritten(tmp_path, case):
+    config = RunConfig(type_label="A", rank=2, out_dir=str(tmp_path), cache=True)
+    fresh = Bundle(config).system
+    path = config.cache_path()
+    good = path.read_text()
+    path.write_text(json.dumps(MALFORMED[case](json.loads(good))))
+    rebuilt = Bundle(config).system
+    assert rebuilt.order == 6
+    assert rebuilt.lengths == fresh.lengths
+    assert path.read_text() == good
+
+
+def test_null_lengths_in_cache_do_not_break_verify(tmp_path):
+    from ncph.cli import main
+    out = str(tmp_path)
+    assert main(["verify", "A", "2", "--all", "--out", out]) == 0
+    path = RunConfig(type_label="A", rank=2, out_dir=out).cache_path()
+    payload = json.loads(path.read_text())
+    payload["lengths"] = None
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "A", "2", "--all", "--out", out]) == 0
 
 
 def test_stale_cache_version_ignored(tmp_path):
