@@ -6,6 +6,10 @@ separation bound is a certified rational lower bound for the minimal
 nonzero |r . rho| over unit rays r and roots rho; it feeds the geometric
 series defining the generic direction v, and the defining inequality is
 re-verified exactly for every ray.
+
+The extreme rays of the chamber w C are the images w d_k of the dual rays
+d_k of the fundamental chamber, so the chambers share one table of
+distinct rays, the W-orbits of the d_k, and refer to them by id.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Optional
 
-from .coxeter import CoxeterSystem
-from .linalg import Matrix, Vector, dot, vec_key, vec_scale
+from .coxeter import CoxeterSystem, simple_orbit
+from .linalg import Matrix, Vector, dot, vec_add, vec_key, vec_scale
 
 DEFAULT_DENOMINATOR_BOUND = 64
 
@@ -135,24 +140,39 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
 
 @dataclass
 class Chamber:
-    """The chamber w C with its extreme rays and an interior point."""
+    """The chamber w C: its extreme rays w d_k, both as ids into the shared
+    table of orbit rays and as the table's vectors, and an interior point."""
 
     element: int
+    ray_ids: tuple[int, ...]
     rays: list[Vector]
     interior: Vector
 
 
 def chambers(system: CoxeterSystem) -> list[Chamber]:
-    """One chamber per group element, in deterministic (length, matrix) order."""
-    order = sorted(range(system.order), key=system.element_sort_key)
+    """One chamber per group element, in deterministic (length, matrix) order.
+
+    The extreme rays of w C are the images w d_k of the dual rays d_k of the
+    fundamental chamber C, so all |W| n of them are drawn from the W-orbits
+    of the d_k, built once.  The ray ids of each element come from a
+    breadth-first search over left multiplication by the simple
+    reflections, ids(s w) = s(ids(w)); the interior point w (d_1 + ... + d_n)
+    is the sum of the chamber's rays.
+    """
+    table, _, act = simple_orbit(system.dual_rays, system.simple_roots)
+    simple = [system.index_of[g] for g in system.simple_perms]
+    ids = {system.e_index: tuple(range(system.rank))}
+    queue = [system.e_index]
+    for w in queue:
+        for s, row in zip(simple, act):
+            sw = system.product(s, w)
+            if sw not in ids:
+                ids[sw] = tuple(row[k] for k in ids[w])
+                queue.append(sw)
     out = []
-    for w in order:
-        mat = system.matrix(w)
-        out.append(Chamber(
-            element=w,
-            rays=[mat.apply(d) for d in system.dual_rays],
-            interior=mat.apply(system.interior_point),
-        ))
+    for w in sorted(range(system.order), key=system.element_sort_key):
+        rays = [table[k] for k in ids[w]]
+        out.append(Chamber(w, ids[w], rays, reduce(vec_add, rays)))
     return out
 
 

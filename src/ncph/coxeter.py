@@ -297,6 +297,30 @@ def _reflect(v: Vector, root: Vector) -> Vector:
     return tuple(x - f * y for x, y in zip(v, root))
 
 
+def simple_orbit(seeds: list[Vector], simple_roots: list[Vector]
+                 ) -> tuple[list[Vector], dict[tuple, int], list[tuple[int, ...]]]:
+    """The union of the W-orbits of distinct seed vectors, closed
+    breadth-first under the reflections in the unit simple roots (ids
+    ``0..len(seeds)-1`` are the seeds), the id of each vector by ``vec_key``,
+    and each simple reflection as a permutation of the ids."""
+    vectors = list(seeds)
+    ids = {vec_key(v): k for k, v in enumerate(vectors)}
+    images: list[list[int]] = [[] for _ in simple_roots]
+    head = 0
+    while head < len(vectors):
+        v = vectors[head]
+        head += 1
+        for a, row in zip(simple_roots, images):
+            image = _reflect(v, a)
+            key = vec_key(image)
+            k = ids.get(key)
+            if k is None:
+                k = ids[key] = len(vectors)
+                vectors.append(image)
+            row.append(k)
+    return vectors, ids, [tuple(row) for row in images]
+
+
 def _compose(w: tuple[int, ...], r: tuple[int, ...]) -> tuple[int, ...]:
     """The root permutation of the product w r: k -> w(r(k)).  There are
     always at least two roots, so ``itemgetter`` returns a tuple."""
@@ -403,24 +427,10 @@ class CoxeterSystem:
     def _close_roots(self):
         """All roots, as the orbit of the simple roots under the simple
         reflections, and each simple reflection as a permutation of them."""
-        roots = list(self.simple_roots)
-        root_id = {vec_key(a): k for k, a in enumerate(roots)}
-        images: list[list[int]] = [[] for _ in roots]
-        head = 0
-        while head < len(roots):
-            v = roots[head]
-            head += 1
-            for a, row in zip(self.simple_roots, images):
-                image = _reflect(v, a)
-                key = vec_key(image)
-                k = root_id.get(key)
-                if k is None:
-                    k = root_id[key] = len(roots)
-                    roots.append(image)
-                row.append(k)
+        roots, root_id, self.simple_perms = simple_orbit(self.simple_roots,
+                                                         self.simple_roots)
         self.roots = roots
         self.root_id = root_id
-        self.simple_perms = [tuple(row) for row in images]
         self._negative = [root_id[vec_key(vec_neg(v))] for v in roots]
 
     def _generate_group(self, cap: int):

@@ -3,9 +3,10 @@
 The operator 2(I - c)^(-1) carries the ordered roots to the vertex
 configuration of a simplicial cone complex whose facet walls lie in
 reflection hyperplanes.  Expressing chamber rays in a facet's vertex basis
-decides, exactly, which chambers a facet cone contains; the resulting 0/1
-facet-chamber incidence matrix realizes the homology embedding, and its
-rank certifies injectivity.
+decides, exactly, which chambers a facet cone contains; chambers share
+their rays (see ``arrangement.chambers``), so each distinct ray is decided
+once per facet.  The resulting 0/1 facet-chamber incidence matrix realizes
+the homology embedding, and its rank certifies injectivity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .arrangement import Chamber, bounded_slice
+from .arrangement import Chamber
 from .complexes import SimplicialComplex, betti_numbers, order_complex
 from .coxeter import CoxeterSystem
 from .fields import rationals
@@ -179,18 +180,25 @@ def flat_leq(field, a: Flat, b: Flat) -> bool:
 
 
 def intersection_lattice_proper_betti(system: CoxeterSystem,
-                                      budget: int = 5_000_000) -> dict[int, int]:
-    """Reduced Betti numbers of the order complex of the proper part."""
-    flats = intersection_lattice(system)
+                                      budget: int = 5_000_000,
+                                      flats: Optional[list[Flat]] = None
+                                      ) -> dict[int, int]:
+    """Reduced Betti numbers of the order complex of the proper part;
+    ``flats`` is the intersection lattice when the caller has built it."""
+    if flats is None:
+        flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
     cx = order_complex(len(proper),
                        lambda i, j: flat_leq(system.field, proper[i], proper[j]))
     return betti_numbers(cx, budget)
 
 
-def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector]) -> bool:
-    """The canonical rays are exactly the codim n-1 flats."""
-    flats = intersection_lattice(system)
+def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
+                        flats: Optional[list[Flat]] = None) -> bool:
+    """The canonical rays are exactly the codim n-1 flats; ``flats`` is the
+    intersection lattice when the caller has built it."""
+    if flats is None:
+        flats = intersection_lattice(system)
     lines = [f for f in flats if f.codim == system.rank - 1]
     from .arrangement import canonical_ray
     ray_keys = {vec_key(r) for r in rays}
@@ -211,8 +219,9 @@ def facet_chambers(system: CoxeterSystem, vc: VertexComplex,
                    facet: tuple[int, ...], chamber_list: list[Chamber]
                    ) -> list[int]:
     """Positions of the chambers whose closed cone lies inside the simplicial
-    cone spanned by the facet's vertices.  Membership is decided exactly in
-    the facet's vertex basis.
+    cone spanned by the facet's vertices: every ray of the chamber has
+    nonnegative coordinates in the facet's vertex basis, decided exactly and
+    once per distinct ray id.
     """
     field = system.field
     columns = [vc.vertices[i] for i in facet]
@@ -221,14 +230,17 @@ def facet_chambers(system: CoxeterSystem, vc: VertexComplex,
         inv = basis.inverse()
     except ValueError:
         raise EmbedError(f"facet {facet} has linearly dependent vertices")
+    ray_inside: dict[int, bool] = {}
     contained = []
     for pos, chamber in enumerate(chamber_list):
-        inside = True
-        for ray in chamber.rays:
-            if any(c.sign() < 0 for c in inv.apply(ray)):
-                inside = False
+        for k, ray in zip(chamber.ray_ids, chamber.rays):
+            inside = ray_inside.get(k)
+            if inside is None:
+                inside = ray_inside[k] = all(
+                    c.sign() >= 0 for c in inv.apply(ray))
+            if not inside:
                 break
-        if inside:
+        else:
             if any(c.sign() <= 0 for c in inv.apply(chamber.interior)):
                 raise EmbedError(
                     "chamber rays inside the cone but interior on its wall")
@@ -260,9 +272,11 @@ class EmbeddingReport:
 
 
 def embedding_report(system: CoxeterSystem, vc: VertexComplex,
-                     chamber_list: list[Chamber], v: Vector) -> EmbeddingReport:
+                     chamber_list: list[Chamber], bounded_flags: list[bool]
+                     ) -> EmbeddingReport:
+    """The facet-chamber incidence, given the bounded-slice flag of each
+    chamber (see ``arrangement.bounded_slice``)."""
     facets = list(vc.complex.facets)
-    bounded_flags = [bounded_slice(ch, v) for ch in chamber_list]
     bounded_positions = [p for p, b in enumerate(bounded_flags) if b]
     row_of = {p: r for r, p in enumerate(bounded_positions)}
 

@@ -140,7 +140,7 @@ class Bundle:
     @cached_property
     def embedding(self) -> EmbeddingReport:
         return embedding_report(self.system, self.vertex_complex,
-                                self.chamber_list, self.generic.vector)
+                                self.chamber_list, self.bounded_flags)
 
     @cached_property
     def basis_cycles(self) -> list:

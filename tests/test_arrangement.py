@@ -102,3 +102,22 @@ def test_antipodal_chamber_not_bounded(label, rank):
         # arrangement; v cannot be positive on all its rays too
         antipode = frozenset(_direction_key(vec_neg(r)) for r in chamber.rays)
         assert not bundle.bounded_flags[by_rayset[antipode]]
+
+
+@pytest.mark.parametrize("label,rank,swap", [
+    ("B", 3, False), ("B", 3, True), ("H", 3, False), ("A", 4, False)])
+def test_chamber_rays_are_matrix_images_of_the_dual_rays(label, rank, swap):
+    bundle = bundle_for(label, rank, swap)
+    system = bundle.system
+    chamber_list = bundle.chamber_list
+    assert [c.element for c in chamber_list] == sorted(
+        range(system.order), key=system.element_sort_key)
+    vector_of_id = {}
+    for chamber in chamber_list:
+        mat = system.matrix(chamber.element)
+        assert chamber.rays == [mat.apply(d) for d in system.dual_rays]
+        assert chamber.interior == mat.apply(system.interior_point)
+        for k, ray in zip(chamber.ray_ids, chamber.rays):
+            assert vector_of_id.setdefault(k, vec_key(ray)) == vec_key(ray)
+    # one id per distinct ray
+    assert len(set(vector_of_id.values())) == len(vector_of_id)

@@ -153,3 +153,18 @@ def test_embedding_report_b3(b3):
     assert report.columns_nonempty
     assert report.incident_all_bounded
     assert sorted(report.column_weights) == [1] * 9 + [2]
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
+def test_facet_chambers_agree_with_the_per_chamber_ray_criterion(label, rank):
+    bundle = bundle_for(label, rank)
+    system, vc = bundle.system, bundle.vertex_complex
+    # every ray of every chamber, mapped by the element's matrix
+    chamber_rays = [[system.matrix(c.element).apply(d) for d in system.dual_rays]
+                    for c in bundle.chamber_list]
+    for facet in vc.complex.facets:
+        inv = Matrix(system.field,
+                     list(zip(*[vc.vertices[i] for i in facet]))).inverse()
+        expected = [pos for pos, rays in enumerate(chamber_rays)
+                    if all(c.sign() >= 0 for ray in rays for c in inv.apply(ray))]
+        assert facet_chambers(system, vc, facet, bundle.chamber_list) == expected

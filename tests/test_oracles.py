@@ -7,7 +7,10 @@ h = max d_i:
     |W| = prod d_i,  |T| = sum (d_i - 1),  |NC(W)| = prod (h + d_i) / d_i,
 
 and the Moebius number of NC(W) is (-1)^n prod (h + d_i - 2) / d_i
-(Armstrong, Generalized noncrossing partitions, arXiv math/0611106).
+(Armstrong, Generalized noncrossing partitions, arXiv math/0611106).  The
+root complex has Cat+(W) = prod (h + d_i - 2) / d_i facets, the rank of the
+facet-chamber incidence, and the generic slice is bounded in
+prod (d_i - 1) chambers, the top Betti number of the intersection lattice.
 None of these values comes from the code under test.
 """
 
@@ -55,3 +58,18 @@ def test_mobius_number_matches_the_degrees(label):
     ncp = bundle_for(label[0], int(label[1:])).ncp
     expected = (-1) ** len(degrees) * prod(Fraction(h + d - 2, d) for d in degrees)
     assert ncp.mobius_number() == _integer(expected)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "H3", "A4", "D4", "B4", "F4"])
+def test_facets_and_bounded_chambers_match_the_degrees(label):
+    degrees = DEGREES[label]
+    h = max(degrees)
+    positive_catalan = _integer(prod(Fraction(h + d - 2, d) for d in degrees))
+    bounded = prod(d - 1 for d in degrees)
+    bundle = bundle_for(label[0], int(label[1:]))
+    report = bundle.embedding
+    assert len(bundle.root_complex.facets) == positive_catalan
+    assert len(report.facets) == positive_catalan
+    assert report.rank == positive_catalan
+    assert sum(bundle.bounded_flags) == bounded
+    assert report.bounded_count == bounded
