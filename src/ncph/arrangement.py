@@ -1,15 +1,19 @@
 """Rays and chambers of the reflection arrangement, and the generic slice.
 
-A ray is a canonical spanning vector of a 1-dimensional intersection of
-reflection hyperplanes (first nonzero coordinate scaled to 1).  The
-separation bound is a certified rational lower bound for the minimal
-nonzero |r . rho| over unit rays r and roots rho; it feeds the geometric
-series defining the generic direction v, and the defining inequality is
-re-verified exactly for every ray.
+The arrangement is W-stable, so it is read off one table: the W-orbits of
+the dual rays d_k of the fundamental chamber, which the system builds once
+by closing the d_k under the exact simple reflections.  Every line of the
+arrangement is W-conjugate to the line of some d_k (a standard parabolic
+flat of corank one), so the rays are the canonical forms of the table
+(first nonzero coordinate scaled to 1); the extreme rays of the chamber
+w C are the images w d_k, so chambers refer to the table by id.
 
-The extreme rays of the chamber w C are the images w d_k of the dual rays
-d_k of the fundamental chamber, so the chambers share one table of
-distinct rays, the W-orbits of the d_k, and refer to them by id.
+The separation bound is a certified rational lower bound for the minimal
+nonzero |r . rho| over unit rays r and roots rho; (r . rho)^2 / (r . r) is
+W-invariant and the roots are W-stable, so the minimum is taken over the
+dual rays alone.  It feeds the geometric series defining the generic
+direction v, and the defining inequality is re-verified exactly for every
+ray, since v is not W-invariant.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from typing import Optional
 
-from .coxeter import CoxeterSystem, simple_orbit
-from .linalg import Matrix, Vector, dot, vec_add, vec_key, vec_scale
+from .coxeter import CoxeterSystem
+from .linalg import Vector, dot, vec_add, vec_key, vec_scale
 
 DEFAULT_DENOMINATOR_BOUND = 64
 
@@ -40,44 +43,33 @@ def canonical_ray(v: Vector) -> Vector:
 
 
 def enumerate_rays(system: CoxeterSystem) -> list[Vector]:
-    """All 1-dimensional intersections of reflection hyperplanes, once each."""
-    n = system.rank
-    if n == 1:
+    """All 1-dimensional intersections of reflection hyperplanes, once each:
+    the canonical forms of the orbit rays, sorted by key."""
+    if system.rank == 1:
         return []
-    normals = [root for _, root in system.reflections]
-    seen: dict[tuple, Vector] = {}
-    for subset in combinations(range(len(normals)), n - 1):
-        m = Matrix(system.field, [normals[i] for i in subset])
-        kernel = m.kernel()
-        if len(kernel) != 1:
-            continue
-        ray = canonical_ray(kernel[0])
-        seen.setdefault(vec_key(ray), ray)
-    return [seen[k] for k in sorted(seen)]
+    rays = {vec_key(r): r for r in map(canonical_ray, system.orbit_rays[0])}
+    return [rays[k] for k in sorted(rays)]
 
 
-def ray_separation_bound(system: CoxeterSystem, rays: list[Vector],
+def separation_minimum(system: CoxeterSystem):
+    """min (r.rho)^2 / (r.r) over the rays r and the roots rho with r.rho
+    nonzero, taken over the dual rays and the positive roots."""
+    values = [p * p / dot(d, d) for d in system.dual_rays
+              for p in (dot(d, root) for _, root in system.reflections)
+              if p.sign() != 0]
+    if not values:
+        raise GenericityError("no nonzero ray-root pairing found")
+    return min(values)
+
+
+def ray_separation_bound(system: CoxeterSystem,
                          max_denominator: int = DEFAULT_DENOMINATOR_BOUND
                          ) -> Fraction:
-    """A rational 0 < lam with lam^2 <= min (r.rho)^2 / (r.r) over nonzero
-    pairs; the largest p/q with q <= max_denominator (escalating the bound
-    if the minimum is smaller than 1/max_denominator).
+    """A rational 0 < lam with lam^2 <= ``separation_minimum``; the largest
+    p/q with q <= max_denominator (escalating the bound if the minimum is
+    smaller than 1/max_denominator).
     """
-    if not rays:
-        return Fraction(1)
-    minimum = None
-    for ray in rays:
-        rr = dot(ray, ray)
-        rr_inv = rr.inverse()
-        for _, root in system.reflections:
-            p = dot(ray, root)
-            if p.sign() == 0:
-                continue
-            value = p * p * rr_inv
-            if minimum is None or value < minimum:
-                minimum = value
-    if minimum is None or minimum.sign() <= 0:
-        raise GenericityError("no nonzero ray-root pairing found")
+    minimum = separation_minimum(system)
     qmax = max_denominator
     while True:
         best: Optional[Fraction] = None
@@ -153,13 +145,13 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
     """One chamber per group element, in deterministic (length, matrix) order.
 
     The extreme rays of w C are the images w d_k of the dual rays d_k of the
-    fundamental chamber C, so all |W| n of them are drawn from the W-orbits
-    of the d_k, built once.  The ray ids of each element come from a
+    fundamental chamber C, so all |W| n of them are drawn from the system's
+    table of orbit rays.  The ray ids of each element come from a
     breadth-first search over left multiplication by the simple
     reflections, ids(s w) = s(ids(w)); the interior point w (d_1 + ... + d_n)
     is the sum of the chamber's rays.
     """
-    table, _, act = simple_orbit(system.dual_rays, system.simple_roots)
+    table, act = system.orbit_rays
     simple = [system.index_of[g] for g in system.simple_perms]
     ids = {system.e_index: tuple(range(system.rank))}
     queue = [system.e_index]
@@ -176,17 +168,18 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
     return out
 
 
-def bounded_slice(chamber: Chamber, v: Vector) -> bool:
-    """Whether the slice of the chamber by the affine hyperplane through v
-    normal to v is nonempty and bounded: v must be positive on every
-    extreme ray of the closed chamber.
+def bounded_slice(chamber_list: list[Chamber], v: Vector) -> list[bool]:
+    """For each chamber, whether its slice by the affine hyperplane through
+    v normal to v is nonempty and bounded: v must be positive on every
+    extreme ray of the closed chamber.  Each distinct ray is decided once.
     """
-    verdict = True
-    for ray in chamber.rays:
-        s = dot(ray, v).sign()
-        if s == 0:
-            raise GenericityError(
-                "chamber ray orthogonal to the slice direction")
-        if s < 0:
-            verdict = False
-    return verdict
+    positive: dict[int, bool] = {}
+    for chamber in chamber_list:
+        for k, ray in zip(chamber.ray_ids, chamber.rays):
+            if k not in positive:
+                s = dot(ray, v).sign()
+                if s == 0:
+                    raise GenericityError(
+                        "chamber ray orthogonal to the slice direction")
+                positive[k] = s > 0
+    return [all(positive[k] for k in c.ray_ids) for c in chamber_list]

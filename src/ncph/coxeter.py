@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -297,6 +298,19 @@ def _reflect(v: Vector, root: Vector) -> Vector:
     return tuple(x - f * y for x, y in zip(v, root))
 
 
+def closure(seeds, images) -> list:
+    """The seeds and everything reachable from them under ``images``, which
+    lists the images of one item, each once in breadth-first order."""
+    found = list(dict.fromkeys(seeds))
+    seen = set(found)
+    for x in found:
+        for y in images(x):
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
+
+
 def simple_orbit(seeds: list[Vector], simple_roots: list[Vector]
                  ) -> tuple[list[Vector], dict[tuple, int], list[tuple[int, ...]]]:
     """The union of the W-orbits of distinct seed vectors, closed
@@ -360,9 +374,10 @@ class CoxeterSystem:
 
     The group acts faithfully on the root system: element ``i`` is the
     permutation ``perms[i]`` of root ids, ``perms[i][k]`` being the id of
-    w_i(``roots[k]``); ids ``0..n-1`` are the simple roots.  Products,
-    inverses, conjugation and the absolute order are integer work; exact
-    matrices are built on demand by :meth:`matrix`.
+    w_i(``roots[k]``); ids ``0..n-1`` are the simple roots and
+    ``negative[k]`` is the id of -``roots[k]``.  Products, inverses,
+    conjugation and the absolute order are integer work; exact matrices are
+    built on demand by :meth:`matrix`.
     """
 
     def __init__(self, diagram: CoxeterDiagram, swap_classes: bool = False,
@@ -431,7 +446,14 @@ class CoxeterSystem:
                                                          self.simple_roots)
         self.roots = roots
         self.root_id = root_id
-        self._negative = [root_id[vec_key(vec_neg(v))] for v in roots]
+        self.negative = [root_id[vec_key(vec_neg(v))] for v in roots]
+
+    @cached_property
+    def orbit_rays(self) -> tuple[list[Vector], list[tuple[int, ...]]]:
+        """The W-orbits of the dual rays d_k (ids 0..n-1), built on first
+        use, and each simple reflection as a permutation of their ids."""
+        rays, _, perms = simple_orbit(self.dual_rays, self.simple_roots)
+        return rays, perms
 
     def _generate_group(self, cap: int):
         identity = tuple(range(len(self.roots)))
@@ -484,9 +506,9 @@ class CoxeterSystem:
         self.reflections = []
         for i, k in sorted(seen.items()):
             if not self._is_positive(self.roots[k]):
-                k = self._negative[k]
+                k = self.negative[k]
             self._reflection_of_root_id[k] = i
-            self._reflection_of_root_id[self._negative[k]] = i
+            self._reflection_of_root_id[self.negative[k]] = i
             self.reflections.append((i, self.roots[k]))
 
     def _is_positive(self, root: Vector) -> bool:
@@ -508,15 +530,10 @@ class CoxeterSystem:
             value = Matrix(self.field, [
                 vec_sub(self.roots[w[j]], self.roots[j])
                 for j in range(self.rank)]).rank()
-            lengths[start] = value
-            stack = [start]
-            while stack:
-                x = self.perms[stack.pop()]
-                for g in self.simple_perms:
-                    y = self.index_of[_conjugate(g, x)]
-                    if lengths[y] < 0:
-                        lengths[y] = value
-                        stack.append(y)
+            for y in closure([start], lambda x: [
+                    self.index_of[_conjugate(g, self.perms[x])]
+                    for g in self.simple_perms]):
+                lengths[y] = value
         return lengths
 
     # -- group queries ---------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Embedding the lattice homology basis into the intersection lattice.
+"""The intersection lattice, and the embedding of the lattice homology
+basis into it.
+
+The flats of the intersection lattice L(W) are the W-translates of the
+standard parabolic flats, so their reflection sets are integer orbit
+closures on root ids; each distinct flat gets one exact reduced echelon
+basis for its normals and key.
 
 The operator 2(I - c)^(-1) carries the ordered roots to the vertex
 configuration of a simplicial cone complex whose facet walls lie in
@@ -12,13 +18,15 @@ the homology embedding, and its rank certifies injectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-from .arrangement import Chamber
-from .complexes import SimplicialComplex, betti_numbers, order_complex
-from .coxeter import CoxeterSystem
-from .fields import rationals
-from .linalg import Matrix, Vector, dot, vec_key, vec_scale, vec_sub
+from .arrangement import Chamber, canonical_ray
+from .complexes import (SimplicialComplex, _sparse_rank, betti_numbers,
+                        order_complex)
+from .coxeter import CoxeterSystem, closure
+from .linalg import Matrix, Vector, dot, vec_key, vec_scale
 from .rootorder import OrderedRoots
 
 
@@ -126,51 +134,42 @@ def _rref_rows(field, rows) -> tuple:
     return tuple(r for r in rref.rows if not all(e.is_zero() for e in r))
 
 
-def _in_row_space(rref: tuple, v: Vector) -> bool:
-    """Whether v reduces to zero against the rows of a reduced echelon form."""
-    for row in rref:
-        pivot = next(i for i, e in enumerate(row) if not e.is_zero())
-        if not v[pivot].is_zero():
-            v = vec_sub(v, vec_scale(row, v[pivot]))
-    return all(e.is_zero() for e in v)
-
-
 def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
     """All intersections of subfamilies of the arrangement, from the whole
-    space (codim 0) down to the origin (codim n), by iterated closure.
-    Ordered by (codim, canonical key).
+    space (codim 0) down to the origin (codim n), ordered by (codim,
+    canonical key).
+
+    Every flat is a W-translate w X_J of a standard parabolic flat X_J, the
+    intersection of the walls of the simple roots in J (Barcelo-Ihrig), and
+    the hyperplanes containing w X_J are those of the roots w(Phi_J).  So
+    the reflection sets come from closing the simple roots in J under their
+    own reflections and then under all simple reflections, on root ids; the
+    field is needed only for each distinct flat's reduced echelon basis.
     """
-    field = system.field
-    normals = [root for _, root in system.reflections]
-    seen: dict[tuple, Flat] = {}
-
-    def flat_of(rref: tuple) -> Flat:
-        key = tuple(vec_key(r) for r in rref)
-        if key not in seen:
-            seen[key] = Flat(rref, key, frozenset(
-                i for i, h in enumerate(normals) if _in_row_space(rref, h)))
-        return seen[key]
-
-    frontier = [flat_of(())]
-    while frontier:
-        covers: dict[tuple, Flat] = {}
-        for flat in frontier:
-            # a hyperplane containing a cover already found meets the flat
-            # in that cover
-            done = set(flat.reflections)
-            for i, h in enumerate(normals):
-                if i not in done:
-                    cover = flat_of(_rref_rows(field, list(flat.normals) + [h]))
-                    if cover.codim != flat.codim + 1:
-                        raise EmbedError("a hyperplane not containing a flat "
-                                         "does not cut its dimension by one")
-                    done |= cover.reflections
-                    covers[cover.key] = cover
-        frontier = list(covers.values())
-    return sorted(seen.values(), key=lambda f: (f.codim, f.key))
+    position = {i: p for p, (i, _) in enumerate(system.reflections)}
+    of_root = [position[system.reflection_of_root(r)] for r in system.roots]
+    perms = system.simple_perms
+    codim: dict[frozenset[int], int] = {}   # root ids of w(Phi_J) -> |J|
+    for size in range(system.rank + 1):
+        for J in combinations(range(system.rank), size):
+            # Phi_J from the simple roots in J, whose ids are J
+            phi = frozenset(closure(J, lambda k: [perms[j][k] for j in J]))
+            if phi not in codim:
+                for image in closure([phi], lambda s: [
+                        frozenset(g[k] for k in s) for g in perms]):
+                    codim[image] = size
+    flats = []
+    for phi, size in codim.items():
+        refs = frozenset(of_root[k] for k in phi)
+        normals = _rref_rows(system.field,
+                             [system.reflections[p][1] for p in sorted(refs)])
+        if len(normals) != size:
+            raise EmbedError("a reflection set spans the wrong codimension")
+        flats.append(Flat(normals, tuple(vec_key(r) for r in normals), refs))
+    return sorted(flats, key=lambda f: (f.codim, f.key))
 
 
-def flat_leq(field, a: Flat, b: Flat) -> bool:
+def flat_leq(a: Flat, b: Flat) -> bool:
     """Reverse inclusion order: a <= b when a contains b as a subspace.
 
     Every flat is the intersection of the hyperplanes containing it, so
@@ -189,7 +188,7 @@ def intersection_lattice_proper_betti(system: CoxeterSystem,
         flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
     cx = order_complex(len(proper),
-                       lambda i, j: flat_leq(system.field, proper[i], proper[j]))
+                       lambda i, j: flat_leq(proper[i], proper[j]))
     return betti_numbers(cx, budget)
 
 
@@ -200,7 +199,6 @@ def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
     if flats is None:
         flats = intersection_lattice(system)
     lines = [f for f in flats if f.codim == system.rank - 1]
-    from .arrangement import canonical_ray
     ray_keys = {vec_key(r) for r in rays}
     line_keys = set()
     for f in lines:
@@ -281,24 +279,25 @@ def embedding_report(system: CoxeterSystem, vc: VertexComplex,
     row_of = {p: r for r, p in enumerate(bounded_positions)}
 
     incidence = [[0] * len(facets) for _ in bounded_positions]
+    columns = []    # sparse incidence columns, row -> 1
     incident_all_bounded = True
     hits_per_chamber = [0] * len(chamber_list)
     column_weights = []
     for col, facet in enumerate(facets):
         members = facet_chambers(system, vc, facet, chamber_list)
         column_weights.append(len(members))
+        columns.append({})
         for pos in members:
             hits_per_chamber[pos] += 1
             if not bounded_flags[pos]:
                 incident_all_bounded = False
             else:
                 incidence[row_of[pos]][col] = 1
+                columns[col][row_of[pos]] = Fraction(1)
 
     columns_disjoint = all(h <= 1 for h in hits_per_chamber)
     columns_nonempty = all(w >= 1 for w in column_weights)
-    qq_field = rationals()
-    rank = Matrix(qq_field, [[qq_field.from_rational(e) for e in row]
-                             for row in incidence]).rank() if incidence else 0
+    rank = _sparse_rank(columns)
     return EmbeddingReport(
         facets=facets,
         bounded_positions=bounded_positions,

@@ -52,12 +52,12 @@ def export_xc(bundle: Bundle) -> dict:
 
 
 def export_lattice(bundle: Bundle) -> dict:
-    from .embed import flat_leq, intersection_lattice
-    flats = intersection_lattice(bundle.system)
+    from .embed import flat_leq
+    flats = bundle.lattice
     order = []
     for a in range(len(flats)):
         for b in range(len(flats)):
-            if a != b and flat_leq(bundle.system.field, flats[a], flats[b]):
+            if a != b and flat_leq(flats[a], flats[b]):
                 order.append([a, b])
     return {
         **_header(bundle),

@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from . import serialize
+from . import embed, serialize
 from .arrangement import (DEFAULT_DENOMINATOR_BOUND, GenericVector, chambers,
                           bounded_slice, enumerate_rays, generic_vector,
                           ray_separation_bound)
@@ -116,8 +116,7 @@ class Bundle:
 
     @cached_property
     def separation(self) -> Fraction:
-        return ray_separation_bound(self.system, self.rays,
-                                    self.config.lambda_denominator)
+        return ray_separation_bound(self.system, self.config.lambda_denominator)
 
     @cached_property
     def generic(self) -> GenericVector:
@@ -130,8 +129,12 @@ class Bundle:
 
     @cached_property
     def bounded_flags(self) -> list[bool]:
-        v = self.generic.vector
-        return [bounded_slice(c, v) for c in self.chamber_list]
+        return bounded_slice(self.chamber_list, self.generic.vector)
+
+    @cached_property
+    def lattice(self) -> list[embed.Flat]:
+        # looked up on its module at call time, like the other stages
+        return embed.intersection_lattice(self.system)
 
     @cached_property
     def vertex_complex(self) -> VertexComplex:

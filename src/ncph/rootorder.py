@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import CoxeterSystem, reflection_matrix
-from .linalg import Matrix, Vector, dot, vec_key, vec_neg
+from .coxeter import CoxeterSystem, _compose, reflection_matrix
+from .linalg import Matrix, Vector, dot, vec_key
 
 
 class RootOrderError(ValueError):
@@ -44,12 +44,14 @@ class OrderedRoots:
 def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
     n = system.rank
     total = n * system.h // 2
-    prefix = system.identity
-    roots: list[Vector] = []
-    for i in range(total):
-        alpha = system.simple_roots[i % n]
-        roots.append(prefix.apply(alpha))
-        prefix = prefix * system.simple_reflections[i % n]
+    # root ids over a whole period; the prefix r_1 ... r_i is a root
+    # permutation, so rho_(i+1) = r_1 ... r_i a_(i+1) is read off it
+    prefix = tuple(range(len(system.roots)))
+    ids: list[int] = []
+    for i in range(2 * total):
+        ids.append(prefix[i % n])
+        prefix = _compose(prefix, system.simple_perms[i % n])
+    roots = [system.roots[k] for k in ids[:total]]
 
     position_of: dict[tuple, int] = {}
     for i, rho in enumerate(roots):
@@ -68,24 +70,18 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
     # sanity: continuing the recursion for another half period produces the
     # negative system.  The stronger index-by-index identity rho_(i+nh/2) =
     # -rho_i holds exactly when c^(h/2) = -I (e.g. false in type A3, where
-    # the longest element is not central), so it is only checked then.
-    second_half = []
-    for i in range(total):
-        alpha = system.simple_roots[(total + i) % n]
-        second_half.append(prefix.apply(alpha))
-        prefix = prefix * system.simple_reflections[(total + i) % n]
-    negatives = {vec_key(vec_neg(rho)) for rho in roots}
-    if {vec_key(rho) for rho in second_half} != negatives:
+    # the longest element is not central), so it is only checked then;
+    # c^(h/2) = -I exactly when it sends every root to its negative.
+    negatives = [system.negative[k] for k in ids[:total]]
+    if set(ids[total:]) != set(negatives):
         raise RootOrderError("second half period is not the negative system")
     if system.h % 2 == 0:
-        power = system.identity
+        c = system.perms[system.c_index]
+        power = tuple(range(len(system.roots)))
         for _ in range(system.h // 2):
-            power = power * system.coxeter_element
-        if power == -system.identity:
-            for i in range(total):
-                if vec_key(second_half[i]) != vec_key(vec_neg(roots[i])):
-                    raise RootOrderError(
-                        "half period does not negate despite central -I")
+            power = _compose(power, c)
+        if list(power) == system.negative and ids[total:] != negatives:
+            raise RootOrderError("half period does not negate despite central -I")
 
     reflection_index = [system.reflection_of_root(rho) for rho in roots]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from . import embed
 from .arrangement import GenericityError
 from .complexes import (ComplexError, cycle_space_rank, fiber_report,
                         mobius_number, poset_map_report,
@@ -145,16 +144,14 @@ def _suite_mu_dots(bundle: Bundle) -> CheckResult:
 
 def _suite_embed(bundle: Bundle) -> CheckResult:
     report = bundle.embedding
-    # one lattice for both checks, looked up on its module at call time
-    flats = embed.intersection_lattice(bundle.system)
     betti = intersection_lattice_proper_betti(bundle.system,
                                               bundle.config.simplex_budget,
-                                              flats)
+                                              bundle.lattice)
     top = bundle.system.rank - 2
     basis_size = betti.get(top, 0)
     others_vanish = all(v == 0 for k, v in betti.items() if k != top)
-    rays_ok = (bundle.system.rank == 1
-               or rays_as_flats_check(bundle.system, bundle.rays, flats))
+    rays_ok = bundle.system.rank == 1 or rays_as_flats_check(
+        bundle.system, bundle.rays, bundle.lattice)
     cycles = bundle.basis_cycles
     cycles_closed = all(c.boundary().is_zero() for c in cycles)
     cycle_rank = cycle_space_rank(cycles, bundle.ncp_order_complex, top)

@@ -1,12 +1,17 @@
 """Rays, the separation bound, the generic direction, bounded slices."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ncph.arrangement import GenericityError, canonical_ray, generic_vector
-from ncph.linalg import dot, vec_key, vec_neg
+from ncph.arrangement import (GenericityError, canonical_ray, generic_vector,
+                              separation_minimum)
+from ncph.linalg import Matrix, dot, vec_key, vec_neg
 from conftest import bundle_for
+
+SECOND_ROUTE_GROUPS = [("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4),
+                       ("F", 4)]
 
 
 def test_rank_one_has_no_rays():
@@ -121,3 +126,39 @@ def test_chamber_rays_are_matrix_images_of_the_dual_rays(label, rank, swap):
             assert vector_of_id.setdefault(k, vec_key(ray)) == vec_key(ray)
     # one id per distinct ray
     assert len(set(vector_of_id.values())) == len(vector_of_id)
+
+
+@pytest.mark.parametrize("label,rank", SECOND_ROUTE_GROUPS)
+def test_rays_are_the_one_dimensional_kernels_of_the_hyperplanes(label, rank):
+    bundle = bundle_for(label, rank)
+    system = bundle.system
+    # one exact kernel per (n-1)-subset of reflection hyperplanes
+    normals = [root for _, root in system.reflections]
+    seen = {}
+    for subset in combinations(normals, rank - 1):
+        kernel = Matrix(system.field, list(subset)).kernel()
+        if len(kernel) == 1:
+            ray = canonical_ray(kernel[0])
+            seen.setdefault(vec_key(ray), ray)
+    assert bundle.rays == [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("label,rank", SECOND_ROUTE_GROUPS)
+def test_separation_minimum_is_taken_over_every_ray_and_root(label, rank):
+    bundle = bundle_for(label, rank)
+    values = [dot(ray, root) * dot(ray, root) / dot(ray, ray)
+              for ray in bundle.rays for _, root in bundle.system.reflections
+              if dot(ray, root).sign() != 0]
+    assert separation_minimum(bundle.system) == min(values)
+
+
+@pytest.mark.parametrize("label,rank", SECOND_ROUTE_GROUPS)
+def test_bounded_flags_match_the_per_chamber_sign_test(label, rank):
+    bundle = bundle_for(label, rank)
+    v = bundle.generic.vector
+    expected = []
+    for chamber in bundle.chamber_list:
+        signs = [dot(ray, v).sign() for ray in chamber.rays]
+        assert 0 not in signs
+        expected.append(all(s > 0 for s in signs))
+    assert bundle.bounded_flags == expected

@@ -188,8 +188,8 @@ def _columns(entries: list[list[int]]) -> list[dict[int, Fraction]]:
 def _lattice_order_complex(system):
     flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
-    return order_complex(len(proper), lambda i, j: flat_leq(
-        system.field, proper[i], proper[j]))
+    return order_complex(len(proper),
+                         lambda i, j: flat_leq(proper[i], proper[j]))
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3)])
@@ -206,6 +206,12 @@ def test_sparse_rank_matches_dense_on_every_boundary_matrix(label, rank):
                     face = simplex[:i] + simplex[i + 1:]
                     entries[row_of[face]][j] = -1 if i % 2 else 1
             assert _sparse_rank(_columns(entries)) == _dense_rank(entries)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
+def test_sparse_rank_matches_dense_on_the_incidence_matrix(label, rank):
+    incidence = bundle_for(label, rank).embedding.incidence
+    assert _sparse_rank(_columns(incidence)) == _dense_rank(incidence)
 
 
 @st.composite

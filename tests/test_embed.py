@@ -1,6 +1,7 @@
 """The vertex operator, its dot identities, flats, and the incidence matrix."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,7 @@ from ncph.embed import (EmbedError, dot_property_report, facet_chambers,
                         flat_leq, intersection_lattice,
                         intersection_lattice_proper_betti, project_to_slice,
                         rays_as_flats_check, vertex_operator)
-from ncph.linalg import Matrix, dot, vec_scale
+from ncph.linalg import Matrix, dot, vec_key, vec_scale, vec_sub
 from conftest import bundle_for
 
 
@@ -72,8 +73,8 @@ def test_intersection_lattice_b3(b3):
 def test_flat_order_is_reverse_inclusion(a2):
     flats = intersection_lattice(a2.system)
     whole, line = flats[0], flats[1]
-    assert flat_leq(a2.system.field, whole, line)
-    assert not flat_leq(a2.system.field, line, whole)
+    assert flat_leq(whole, line)
+    assert not flat_leq(line, whole)
 
 
 @pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3)])
@@ -84,12 +85,12 @@ def test_flat_order_agrees_with_the_rank_criterion(label, rank):
         for b in flats:
             # a <= b iff the normals of a lie in the span of the normals of b
             stacked = Matrix(system.field, list(b.normals) + list(a.normals))
-            assert flat_leq(system.field, a, b) == (stacked.rank() == b.codim)
+            assert flat_leq(a, b) == (stacked.rank() == b.codim)
 
 
 @pytest.mark.parametrize("label,rank,exponents", [
     ("A", 3, (1, 2, 3)), ("B", 3, (1, 3, 5)), ("H", 3, (1, 5, 9)),
-    ("A", 4, (1, 2, 3, 4)), ("D", 4, (1, 3, 3, 5))])
+    ("A", 4, (1, 2, 3, 4)), ("D", 4, (1, 3, 3, 5)), ("B", 4, (1, 3, 5, 7))])
 def test_intersection_lattice_mobius_number_is_the_product_of_exponents(
         label, rank, exponents):
     system = bundle_for(label, rank).system
@@ -112,6 +113,12 @@ def test_intersection_lattice_mobius_number_is_the_product_of_exponents(
     assert mobius == (-1) ** rank * math.prod(exponents)
     assert betti == {k: (math.prod(exponents) if k == rank - 2 else 0)
                      for k in range(-1, rank - 1)}
+    # Orlik-Solomon: the characteristic polynomial, the sum over flats X of
+    # mu(V, X) t^(n - codim X), is prod (t - e_i), so the codim-k terms sum
+    # to (-1)^k e_k(exponents)
+    for k in range(rank + 1):
+        assert sum(m for x, m in zip(flats, mu) if x.codim == k) == (
+            (-1) ** k * sum(map(math.prod, combinations(exponents, k))))
 
 
 def test_facet_chambers_properties(b3):
@@ -168,3 +175,56 @@ def test_facet_chambers_agree_with_the_per_chamber_ray_criterion(label, rank):
         expected = [pos for pos, rays in enumerate(chamber_rays)
                     if all(c.sign() >= 0 for ray in rays for c in inv.apply(ray))]
         assert facet_chambers(system, vc, facet, bundle.chamber_list) == expected
+
+
+def _in_row_space(rref, v):
+    """Whether v reduces to zero against the rows of a reduced echelon form."""
+    for row in rref:
+        pivot = next(i for i, e in enumerate(row) if not e.is_zero())
+        if not v[pivot].is_zero():
+            v = vec_sub(v, vec_scale(row, v[pivot]))
+    return all(e.is_zero() for e in v)
+
+
+def _rref_closure(system):
+    """L(W) by iterated closure from the whole space: each flat meets every
+    hyperplane not containing it in a cover (a hyperplane containing a
+    cover found so far gives that cover again).  (normals, reflections) per
+    flat, in (codim, key) order."""
+    normals = [root for _, root in system.reflections]
+    seen = {}
+
+    def flat_of(rows):
+        rref = tuple(r for r in Matrix(system.field, rows).rref().rows
+                     if not all(e.is_zero() for e in r)) if rows else ()
+        key = tuple(vec_key(r) for r in rref)
+        if key not in seen:
+            seen[key] = (rref, frozenset(i for i, h in enumerate(normals)
+                                         if _in_row_space(rref, h)))
+        return seen[key]
+
+    frontier = [flat_of([])]
+    while frontier:
+        covers = {}
+        for rref, refs in frontier:
+            done = set(refs)
+            for i, h in enumerate(normals):
+                if i not in done:
+                    cover = flat_of(list(rref) + [h])
+                    assert len(cover[0]) == len(rref) + 1
+                    done |= cover[1]
+                    covers[cover[1]] = cover
+        frontier = list(covers.values())
+    return [seen[k] for k in sorted(seen, key=lambda k: (len(k), k))]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
+                                        ("A", 4), ("D", 4), ("F", 4)])
+def test_intersection_lattice_matches_the_rref_closure(label, rank):
+    system = bundle_for(label, rank).system
+    flats = intersection_lattice(system)
+    expected = _rref_closure(system)
+    assert [f.normals for f in flats] == [normals for normals, _ in expected]
+    assert [f.key for f in flats] == [tuple(vec_key(r) for r in normals)
+                                      for normals, _ in expected]
+    assert [f.reflections for f in flats] == [refs for _, refs in expected]

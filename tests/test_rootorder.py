@@ -7,6 +7,7 @@ import pytest
 from ncph.coxeter import CoxeterDiagram, CoxeterSystem, reflection_matrix
 from ncph.linalg import Matrix, dot, vec_key
 from ncph.rootorder import ordered_roots
+from conftest import bundle_for
 
 
 def _coords(field, *pairs):
@@ -70,3 +71,16 @@ def test_roots_positive_and_exhaustive():
         assert dot(rho, system.interior_point).sign() > 0
     assert ({vec_key(r) for r in ordered.roots}
             == {vec_key(root) for _, root in system.reflections})
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3), ("A", 4),
+                                        ("D", 4), ("F", 4), ("H", 4)])
+def test_root_sequence_matches_the_matrix_prefix_walk(label, rank):
+    system = bundle_for(label, rank).system
+    n = system.rank
+    prefix = system.identity   # r_1 ... r_(i-1) as an exact matrix
+    expected = []
+    for i in range(n * system.h // 2):
+        expected.append(prefix.apply(system.simple_roots[i % n]))
+        prefix = prefix * system.simple_reflections[i % n]
+    assert ordered_roots(system).roots == expected
