@@ -6,7 +6,9 @@ by closing the d_k under the exact simple reflections.  Every line of the
 arrangement is W-conjugate to the line of some d_k (a standard parabolic
 flat of corank one), so the rays are the canonical forms of the table
 (first nonzero coordinate scaled to 1); the extreme rays of the chamber
-w C are the images w d_k, so chambers refer to the table by id.
+w C are the images w d_k, so chambers refer to the table by id.  Chambers
+are ordered by (length, matrix) without forming a matrix: every row of
+the matrix of w is a combination of table rays, or a root read by id.
 
 The separation bound is a certified rational lower bound for the minimal
 nonzero |r . rho| over unit rays r and roots rho; (r . rho)^2 / (r . r) is
@@ -133,12 +135,16 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
 @dataclass
 class Chamber:
     """The chamber w C: its extreme rays w d_k, both as ids into the shared
-    table of orbit rays and as the table's vectors, and an interior point."""
+    table of orbit rays and as the table's vectors."""
 
     element: int
     ray_ids: tuple[int, ...]
     rays: list[Vector]
-    interior: Vector
+
+    @property
+    def interior(self) -> Vector:
+        """The interior point w (d_1 + ... + d_n), the sum of the rays."""
+        return reduce(vec_add, self.rays)
 
 
 def chambers(system: CoxeterSystem) -> list[Chamber]:
@@ -148,8 +154,9 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
     fundamental chamber C, so all |W| n of them are drawn from the system's
     table of orbit rays.  The ray ids of each element come from a
     breadth-first search over left multiplication by the simple
-    reflections, ids(s w) = s(ids(w)); the interior point w (d_1 + ... + d_n)
-    is the sum of the chamber's rays.
+    reflections, ids(s w) = s(ids(w)).  The order is that of
+    ``system.element_sort_key``, with the matrix rows read off the same ids
+    (see ``_matrix_keys``).
     """
     table, act = system.orbit_rays
     simple = [system.index_of[g] for g in system.simple_perms]
@@ -161,11 +168,54 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
             if sw not in ids:
                 ids[sw] = tuple(row[k] for k in ids[w])
                 queue.append(sw)
-    out = []
-    for w in sorted(range(system.order), key=system.element_sort_key):
-        rays = [table[k] for k in ids[w]]
-        out.append(Chamber(w, ids[w], rays, reduce(vec_add, rays)))
-    return out
+    keys = _matrix_keys(system, ids)
+    return [Chamber(w, ids[w], [table[k] for k in ids[w]])
+            for w in sorted(range(system.order), key=keys.__getitem__)]
+
+
+def _matrix_keys(system: CoxeterSystem, ids: dict[int, tuple[int, ...]]
+                 ) -> list[tuple]:
+    """For every element w, a key that sorts like ``element_sort_key(w)``,
+    (length, ``matrix(w).key()``), without the matrices.
+
+    Row i of the orthogonal matrix of w is w^-1 e_i.  The dual rays satisfy
+    d_k . a_l = delta_kl, so e_i = sum_k (a_k)_i d_k and row i is
+    sum_k (a_k)_i w^-1 d_k, where w^-1 d_k is the orbit ray at
+    ``ids[w^-1][k]``; each scaled ray is formed once.  A row whose e_i is
+    exactly the simple root a_i is the root w^-1 a_i: it is read by id and
+    stands in the key as the rank of its ``vec_key`` among the roots' keys.
+    """
+    table = system.orbit_rays[0]
+    n, field = system.rank, system.field
+    simple = system.simple_roots
+    unit = [tuple(field.one if j == i else field.zero for j in range(n)) == a
+            for i, a in enumerate(simple)]
+    by_key = sorted(range(len(system.roots)),
+                    key=lambda k: vec_key(system.roots[k]))
+    root_rank = [0] * len(by_key)
+    for r, k in enumerate(by_key):
+        root_rank[k] = r
+    terms = [[(k, simple[k][i]) for k in range(n) if not simple[k][i].is_zero()]
+             for i in range(n)]
+    scaled: dict[tuple[int, int, int], Vector] = {}   # (i, k, id) -> (a_k)_i ray
+
+    def row(i: int, rays: tuple[int, ...]) -> tuple:
+        parts = []
+        for k, coeff in terms[i]:
+            part = scaled.get((i, k, rays[k]))
+            if part is None:
+                part = scaled[i, k, rays[k]] = vec_scale(table[rays[k]], coeff)
+            parts.append(part)
+        return vec_key(reduce(vec_add, parts))
+
+    keys = []
+    for w in range(system.order):
+        u = system.inverses[w]
+        perm, rays = system.perms[u], ids[u]
+        keys.append((system.lengths[w],
+                     tuple(root_rank[perm[i]] if unit[i] else row(i, rays)
+                           for i in range(n))))
+    return keys
 
 
 def bounded_slice(chamber_list: list[Chamber], v: Vector) -> list[bool]:

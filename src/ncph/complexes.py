@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coxeter import BudgetExceededError, CoxeterSystem
@@ -44,9 +46,18 @@ class SimplicialComplex:
             if not set(t) <= vertex_set:
                 raise ComplexError("facet uses unknown vertices")
             seen.add(t)
-        # drop faces that are contained in another declared facet
-        self.facets = tuple(sorted(t for t in seen
-                                   if not any(set(t) < set(o) for o in seen)))
+        # drop faces that are contained in another declared facet: the
+        # declared faces holding every vertex of t, as a bitset over
+        # positions, must be t alone
+        declared = sorted(seen)
+        holding = dict.fromkeys(self.vertices, 0)
+        for pos, t in enumerate(declared):
+            for v in t:
+                holding[v] |= 1 << pos
+        everything = (1 << len(declared)) - 1
+        self.facets = tuple(
+            t for pos, t in enumerate(declared)
+            if reduce(and_, (holding[v] for v in t), everything) == 1 << pos)
 
     @property
     def dim(self) -> int:
@@ -288,19 +299,38 @@ def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
 # order complexes and rational homology
 # ---------------------------------------------------------------------------
 
+def poset_covers(size: int, leq: Callable[[int, int], bool]
+                 ) -> tuple[list[list[int]], list[int]]:
+    """The cover lists (each ascending) and the minimal elements of a poset
+    on labels 0..size-1 sorted by a linear extension.
+
+    A transitive reduction on bitsets: the strict up-sets of a are walked in
+    label order, and b is a cover of a exactly when no earlier cover lies
+    below it, that is when b is not yet in the union of their up-sets.
+    """
+    up = [sum(1 << b for b in range(size) if b != a and leq(a, b))
+          for a in range(size)]
+    covers = []
+    for a in range(size):
+        above, reached, found = up[a], 0, []
+        while above:
+            low = above & -above
+            above ^= low
+            if not reached & low:
+                b = low.bit_length() - 1
+                found.append(b)
+                reached |= up[b]
+        covers.append(found)
+    non_minimal = reduce(or_, up, 0)
+    minimal = [a for a in range(size) if not non_minimal >> a & 1]
+    return covers, minimal
+
+
 def order_complex(size: int, leq: Callable[[int, int], bool]) -> SimplicialComplex:
     """Chains of a poset on labels 0..size-1 (labels must already be sorted
     by a linear extension); facets are the maximal chains.
     """
-    covers: dict[int, list[int]] = {a: [] for a in range(size)}
-    strictly_less = [[a != b and leq(a, b) for b in range(size)] for a in range(size)]
-    for a in range(size):
-        for b in range(size):
-            if strictly_less[a][b] and not any(
-                    strictly_less[a][m] and strictly_less[m][b] for m in range(size)):
-                covers[a].append(b)
-    minimal = [a for a in range(size)
-               if not any(strictly_less[b][a] for b in range(size))]
+    covers, minimal = poset_covers(size, leq)
     chains: list[tuple[int, ...]] = []
 
     def extend(chain):

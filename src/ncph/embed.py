@@ -4,28 +4,32 @@ basis into it.
 The flats of the intersection lattice L(W) are the W-translates of the
 standard parabolic flats, so their reflection sets are integer orbit
 closures on root ids; each distinct flat gets one exact reduced echelon
-basis for its normals and key.
+basis, of the |J| roots w(a_j) that span its normals, for its normals and
+key.
 
 The operator 2(I - c)^(-1) carries the ordered roots to the vertex
 configuration of a simplicial cone complex whose facet walls lie in
-reflection hyperplanes.  Expressing chamber rays in a facet's vertex basis
-decides, exactly, which chambers a facet cone contains; chambers share
-their rays (see ``arrangement.chambers``), so each distinct ray is decided
-once per facet.  The resulting 0/1 facet-chamber incidence matrix realizes
-the homology embedding, and its rank certifies injectivity.
+reflection hyperplanes.  The exact vertex-root pairing names the root of
+each wall, so a facet cone is a union of chambers reached from one of
+them by walking across the chamber panels that are not walls; the walk
+runs on group elements (``arrangement.chambers`` lists one chamber per
+element).  The resulting 0/1 facet-chamber incidence matrix realizes the
+homology embedding, and its rank certifies injectivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arrangement import Chamber, canonical_ray
 from .complexes import (SimplicialComplex, _sparse_rank, betti_numbers,
                         order_complex)
 from .coxeter import CoxeterSystem, closure
+from .fields import Scalar
 from .linalg import Matrix, Vector, dot, vec_key, vec_scale
 from .rootorder import OrderedRoots
 
@@ -47,17 +51,25 @@ def vertex_operator(system: CoxeterSystem) -> Matrix:
 @dataclass
 class VertexComplex:
     """Vertices 2(I-c)^(-1) rho_i with the facet combinatorics of the root
-    complex (positions are shared 0-based root indices)."""
+    complex (positions are shared 0-based root indices), and the ordered
+    positive roots rho_j they pair with."""
 
     operator: Matrix
     vertices: list[Vector]
     complex: SimplicialComplex
+    roots: list[Vector]
+
+    @cached_property
+    def pairing(self) -> list[list[Scalar]]:
+        """P[i][j] = v_i . rho_j, built on first use."""
+        return [[dot(v, rho) for rho in self.roots] for v in self.vertices]
 
 
 def vertex_complex(system: CoxeterSystem, ordered: OrderedRoots,
                    xc: SimplicialComplex) -> VertexComplex:
     op = vertex_operator(system)
-    return VertexComplex(op, [op.apply(rho) for rho in ordered.roots], xc)
+    return VertexComplex(op, [op.apply(rho) for rho in ordered.roots], xc,
+                         ordered.roots)
 
 
 @dataclass
@@ -82,14 +94,15 @@ def dot_property_report(system: CoxeterSystem, ordered: OrderedRoots,
     report = DotPropertyReport()
     count = ordered.count
     n = system.rank
+    pairing = vc.pairing
     for i in range(count):
         for j in range(i, count):
-            if dot(vc.vertices[i], ordered.roots[j]).sign() < 0:
+            if pairing[i][j].sign() < 0:
                 report.negative_pairs.append((i, j))
     for i in range(count):
         for t in range(1, n):
             if i + t < count:
-                if dot(vc.vertices[i + t], ordered.roots[i]).sign() != 0:
+                if not pairing[i + t][i].is_zero():
                     report.nonzero_band.append((i + t, i))
     if v is not None:
         for i in range(count):
@@ -143,27 +156,35 @@ def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
     intersection of the walls of the simple roots in J (Barcelo-Ihrig), and
     the hyperplanes containing w X_J are those of the roots w(Phi_J).  So
     the reflection sets come from closing the simple roots in J under their
-    own reflections and then under all simple reflections, on root ids; the
-    field is needed only for each distinct flat's reduced echelon basis.
+    own reflections and then under all simple reflections, on root ids.
+    Each image g w(Phi_J) carries the ids g w(a_j), j in J, of its parent:
+    these |J| roots span the normal space of the flat, and the field is
+    needed only for the reduced echelon basis of their span (unique, so it
+    is the flat's canonical basis and key).
     """
     position = {i: p for p, (i, _) in enumerate(system.reflections)}
     of_root = [position[system.reflection_of_root(r)] for r in system.roots]
     perms = system.simple_perms
-    codim: dict[frozenset[int], int] = {}   # root ids of w(Phi_J) -> |J|
+    basis: dict[frozenset[int], tuple[int, ...]] = {}   # w(Phi_J) -> w(J)
     for size in range(system.rank + 1):
         for J in combinations(range(system.rank), size):
             # Phi_J from the simple roots in J, whose ids are J
             phi = frozenset(closure(J, lambda k: [perms[j][k] for j in J]))
-            if phi not in codim:
-                for image in closure([phi], lambda s: [
-                        frozenset(g[k] for k in s) for g in perms]):
-                    codim[image] = size
+            if phi in basis:
+                continue
+            basis[phi] = J
+            queue = [phi]
+            for image in queue:
+                for g in perms:
+                    new = frozenset(g[k] for k in image)
+                    if new not in basis:
+                        basis[new] = tuple(g[k] for k in basis[image])
+                        queue.append(new)
     flats = []
-    for phi, size in codim.items():
+    for phi, ids in basis.items():
         refs = frozenset(of_root[k] for k in phi)
-        normals = _rref_rows(system.field,
-                             [system.reflections[p][1] for p in sorted(refs)])
-        if len(normals) != size:
+        normals = _rref_rows(system.field, [system.roots[k] for k in ids])
+        if len(normals) != len(ids):
             raise EmbedError("a reflection set spans the wrong codimension")
         flats.append(Flat(normals, tuple(vec_key(r) for r in normals), refs))
     return sorted(flats, key=lambda f: (f.codim, f.key))
@@ -213,37 +234,105 @@ def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
 # facet-chamber incidence
 # ---------------------------------------------------------------------------
 
+def _facet_walls(vc: VertexComplex, zeros: list[int],
+                 facet: tuple[int, ...]) -> set[int]:
+    """The ordered positions of the roots whose hyperplanes carry the facet
+    cone's walls; ``zeros[i]`` is the bitset of the positive roots
+    orthogonal to v_i.  The wall opposite vertex j is the one positive root
+    orthogonal to the other vertices (every root, for rank 1); it must not
+    be orthogonal to v_j, which certifies that the vertices are
+    independent."""
+    walls = set()
+    for j in facet:
+        common = (1 << len(vc.roots)) - 1
+        for i in facet:
+            if i != j:
+                common &= zeros[i]
+        if not common:
+            raise EmbedError(f"facet {facet}: the wall opposite vertex {j} "
+                             "lies in no reflection hyperplane")
+        rho = common.bit_length() - 1
+        if common != 1 << rho:
+            raise EmbedError(f"facet {facet}: the vertices other than {j} "
+                             "span less than a hyperplane")
+        if vc.pairing[j][rho].is_zero():
+            raise EmbedError(f"facet {facet} has linearly dependent vertices")
+        walls.add(rho)
+    return walls
+
+
+def _walk_facets(system: CoxeterSystem, vc: VertexComplex,
+                 chamber_list: list[Chamber], facets
+                 ) -> Iterator[list[int]]:
+    """For each facet in turn, the positions of the chambers inside its
+    cone (see ``facet_chambers``).
+
+    A descent reaches a chamber whose closure holds the sum x of the
+    facet's vertices: at w, step to w s_k while x . w(a_k) < 0, each step
+    crossing one hyperplane that separates w C from x, so there are at most
+    as many steps as positive roots.  It starts where the previous facet's
+    descent ended (at e for the first), as any start will do.  The walk
+    then crosses every panel that is not a wall.
+    """
+    perms, pairing = system.perms, vc.pairing
+    simple = [system.index_of[g] for g in system.simple_perms]
+    position = {c.element: pos for pos, c in enumerate(chamber_list)}
+    root_position = [None] * len(system.roots)   # id -> (ordered pos, +-1)
+    for j, rho in enumerate(vc.roots):
+        k = system.root_id[vec_key(rho)]
+        root_position[k] = (j, 1)
+        root_position[system.negative[k]] = (j, -1)
+    zeros = [sum(1 << j for j, p in enumerate(row) if p.is_zero())
+             for row in pairing]
+    w = system.e_index
+    for facet in facets:
+        walls = _facet_walls(vc, zeros, facet)
+        signs: dict[int, int] = {}   # ordered position j -> sign of x . rho_j
+
+        def side(root: int) -> int:
+            j, sign = root_position[root]
+            if j not in signs:
+                signs[j] = sum((pairing[i][j] for i in facet[1:]),
+                               pairing[facet[0]][j]).sign()
+            return sign * signs[j]
+
+        k = steps = 0
+        while k < system.rank:
+            if side(perms[w][k]) < 0:
+                w = system.product(w, simple[k])
+                k = 0
+                steps += 1
+                if steps > len(vc.roots):
+                    raise EmbedError(f"facet {facet}: the descent took more "
+                                     "steps than there are hyperplanes")
+            else:
+                k += 1
+        # x lies in the open cone and in the closure of w C, so w C lies in
+        # the cone, which is a union of chambers bounded by the walls
+        seen = {w}
+        queue = [w]
+        for u in queue:
+            for k, s in enumerate(simple):
+                if root_position[perms[u][k]][0] not in walls:
+                    us = system.product(u, s)
+                    if us not in seen:
+                        seen.add(us)
+                        queue.append(us)
+        yield sorted(position[u] for u in queue)
+
+
 def facet_chambers(system: CoxeterSystem, vc: VertexComplex,
                    facet: tuple[int, ...], chamber_list: list[Chamber]
                    ) -> list[int]:
     """Positions of the chambers whose closed cone lies inside the simplicial
-    cone spanned by the facet's vertices: every ray of the chamber has
-    nonnegative coordinates in the facet's vertex basis, decided exactly and
-    once per distinct ray id.
+    cone spanned by the facet's vertices.
+
+    The walls of the cone lie in reflection hyperplanes, so the cone is a
+    union of chambers (W acts simply transitively on them, and the panels
+    of w C lie in the hyperplanes of the roots w(a_k)): a walk over
+    w -> w s_k that does not cross a wall visits exactly these chambers.
     """
-    field = system.field
-    columns = [vc.vertices[i] for i in facet]
-    basis = Matrix(field, list(zip(*columns)))
-    try:
-        inv = basis.inverse()
-    except ValueError:
-        raise EmbedError(f"facet {facet} has linearly dependent vertices")
-    ray_inside: dict[int, bool] = {}
-    contained = []
-    for pos, chamber in enumerate(chamber_list):
-        for k, ray in zip(chamber.ray_ids, chamber.rays):
-            inside = ray_inside.get(k)
-            if inside is None:
-                inside = ray_inside[k] = all(
-                    c.sign() >= 0 for c in inv.apply(ray))
-            if not inside:
-                break
-        else:
-            if any(c.sign() <= 0 for c in inv.apply(chamber.interior)):
-                raise EmbedError(
-                    "chamber rays inside the cone but interior on its wall")
-            contained.append(pos)
-    return contained
+    return next(_walk_facets(system, vc, chamber_list, [facet]))
 
 
 @dataclass
@@ -283,8 +372,8 @@ def embedding_report(system: CoxeterSystem, vc: VertexComplex,
     incident_all_bounded = True
     hits_per_chamber = [0] * len(chamber_list)
     column_weights = []
-    for col, facet in enumerate(facets):
-        members = facet_chambers(system, vc, facet, chamber_list)
+    walks = _walk_facets(system, vc, chamber_list, facets)
+    for col, members in enumerate(walks):
         column_weights.append(len(members))
         columns.append({})
         for pos in members:

@@ -110,7 +110,11 @@ def test_antipodal_chamber_not_bounded(label, rank):
 
 
 @pytest.mark.parametrize("label,rank,swap", [
-    ("B", 3, False), ("B", 3, True), ("H", 3, False), ("A", 4, False)])
+    ("B", 3, False), ("B", 3, True), ("H", 3, False), ("A", 4, False),
+    ("D", 4, False), ("B", 4, False), ("F", 4, False),
+    # swapped, A3 and D4 are realized over Q(sqrt2+sqrt3), whose elements
+    # have several power-basis coordinates to order by
+    ("A", 3, True), ("D", 4, True)])
 def test_chamber_rays_are_matrix_images_of_the_dual_rays(label, rank, swap):
     bundle = bundle_for(label, rank, swap)
     system = bundle.system

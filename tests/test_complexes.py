@@ -10,7 +10,7 @@ from ncph.complexes import (Chain, ComplexError, SimplicialComplex,
                             build_root_complex, cycle_space_rank,
                             facet_boundary_cycles, fiber_report,
                             full_subcomplex, mobius_number,
-                            order_complex, poset_map_report,
+                            order_complex, poset_covers, poset_map_report,
                             restricted_complex, simplex_element,
                             simplex_length_rule_failures)
 from ncph.coxeter import BudgetExceededError
@@ -102,6 +102,58 @@ def test_order_complex_antichain_and_chain():
     chain = order_complex(3, lambda a, b: a <= b)
     assert chain.facets == ((0, 1, 2),)
     assert betti_numbers(chain) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+def _cubic_covers_and_chains(size, leq):
+    """Covers and minimal elements by testing every (a, m, b) triple, and
+    the maximal chains grown along the covers."""
+    less = [[a != b and leq(a, b) for b in range(size)] for a in range(size)]
+    covers = [[b for b in range(size) if less[a][b] and not any(
+        less[a][m] and less[m][b] for m in range(size))] for a in range(size)]
+    minimal = [a for a in range(size)
+               if not any(less[b][a] for b in range(size))]
+    chains = []
+
+    def extend(chain):
+        if not covers[chain[-1]]:
+            chains.append(tuple(chain))
+        for nxt in covers[chain[-1]]:
+            extend(chain + [nxt])
+
+    for a in minimal:
+        extend([a])
+    return covers, minimal, chains
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
+                                        ("A", 4), ("D", 4), ("B", 4),
+                                        ("F", 4)])
+def test_order_complex_covers_match_the_cubic_loop(label, rank):
+    bundle = bundle_for(label, rank)
+    ncp = bundle.ncp
+    nc_proper = ncp.proper_positions()
+    flats = [f for f in bundle.lattice if 0 < f.codim < rank]
+    for size, leq in (
+            (len(nc_proper), lambda i, j: ncp.leq[nc_proper[i]][nc_proper[j]]),
+            (len(flats), lambda i, j: flat_leq(flats[i], flats[j]))):
+        covers, minimal, chains = _cubic_covers_and_chains(size, leq)
+        assert poset_covers(size, leq) == (covers, minimal)
+        assert order_complex(size, leq).facets == tuple(sorted(chains))
+
+
+@st.composite
+def _face_families(draw):
+    return [tuple(sorted(draw(st.sets(st.integers(0, 5), max_size=4))))
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_face_families())
+def test_declared_faces_inside_another_are_dropped(faces):
+    declared = set(faces)
+    expected = tuple(sorted(t for t in declared
+                            if not any(set(t) < set(o) for o in declared)))
+    assert SimplicialComplex(range(6), faces).facets == expected
 
 
 def test_ncp_proper_part_dimension(b3):

@@ -1,16 +1,17 @@
 """The vertex operator, its dot identities, flats, and the incidence matrix."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from ncph.complexes import order_complex
-from ncph.embed import (EmbedError, dot_property_report, facet_chambers,
-                        flat_leq, intersection_lattice,
+from ncph.embed import (EmbedError, VertexComplex, dot_property_report,
+                        facet_chambers, flat_leq, intersection_lattice,
                         intersection_lattice_proper_betti, project_to_slice,
                         rays_as_flats_check, vertex_operator)
-from ncph.linalg import Matrix, dot, vec_key, vec_scale, vec_sub
+from ncph.linalg import Matrix, dot, vec_add, vec_key, vec_scale, vec_sub
 from conftest import bundle_for
 
 
@@ -175,6 +176,70 @@ def test_facet_chambers_agree_with_the_per_chamber_ray_criterion(label, rank):
         expected = [pos for pos, rays in enumerate(chamber_rays)
                     if all(c.sign() >= 0 for ray in rays for c in inv.apply(ray))]
         assert facet_chambers(system, vc, facet, bundle.chamber_list) == expected
+
+
+def _per_ray_facet_chambers(system, vc, facet, chamber_list):
+    """The chambers whose rays all have nonnegative coordinates in the
+    facet's vertex basis, each distinct ray id decided once."""
+    inv = Matrix(system.field,
+                 list(zip(*[vc.vertices[i] for i in facet]))).inverse()
+    inside = {}
+    contained = []
+    for pos, chamber in enumerate(chamber_list):
+        for k, ray in zip(chamber.ray_ids, chamber.rays):
+            if k not in inside:
+                inside[k] = all(c.sign() >= 0 for c in inv.apply(ray))
+            if not inside[k]:
+                break
+        else:
+            assert all(c.sign() > 0 for c in inv.apply(chamber.interior))
+            contained.append(pos)
+    return contained
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
+                                        ("A", 4), ("D", 4), ("B", 4),
+                                        ("F", 4)])
+def test_facet_walk_matches_the_per_ray_criterion(label, rank):
+    bundle = bundle_for(label, rank)
+    system, vc, chamber_list = (bundle.system, bundle.vertex_complex,
+                                bundle.chamber_list)
+    report = bundle.embedding
+    for col, facet in enumerate(report.facets):
+        expected = _per_ray_facet_chambers(system, vc, facet, chamber_list)
+        assert facet_chambers(system, vc, facet, chamber_list) == expected
+        # the report's walks start where the previous facet's descent ended
+        assert report.column_weights[col] == len(expected)
+        assert [row[col] for row in report.incidence] == [
+            int(pos in expected) for pos in report.bounded_positions]
+
+
+def _doctored(vc, position, vertex):
+    vertices = list(vc.vertices)
+    vertices[position] = vertex
+    return VertexComplex(vc.operator, vertices, vc.complex, vc.roots)
+
+
+def test_facet_walk_rejects_dependent_vertices(b3):
+    vc = b3.vertex_complex
+    f = vc.complex.facets[0]
+    doctored = _doctored(vc, f[0], vec_scale(vc.vertices[f[1]], 2))
+    with pytest.raises(EmbedError, match="linearly dependent"):
+        facet_chambers(b3.system, doctored, f, b3.chamber_list)
+
+
+def test_facet_walk_rejects_a_wall_off_the_reflection_hyperplanes(b3):
+    vc = b3.vertex_complex
+    f = vc.complex.facets[0]
+    third = b3.system.field.from_rational(Fraction(1, 3))
+    moved = vec_add(vc.vertices[f[0]], vec_scale(vc.vertices[f[1]], third))
+    doctored = _doctored(vc, f[0], moved)
+    # the face opposite f[1] now spans a plane normal to no root
+    assert not any(dot(moved, rho).is_zero()
+                   and dot(vc.vertices[f[2]], rho).is_zero()
+                   for rho in vc.roots)
+    with pytest.raises(EmbedError, match="no reflection hyperplane"):
+        facet_chambers(b3.system, doctored, f, b3.chamber_list)
 
 
 def _in_row_space(rref, v):
