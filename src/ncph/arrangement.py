@@ -181,9 +181,10 @@ def _matrix_keys(system: CoxeterSystem, ids: dict[int, tuple[int, ...]]
     Row i of the orthogonal matrix of w is w^-1 e_i.  The dual rays satisfy
     d_k . a_l = delta_kl, so e_i = sum_k (a_k)_i d_k and row i is
     sum_k (a_k)_i w^-1 d_k, where w^-1 d_k is the orbit ray at
-    ``ids[w^-1][k]``; each scaled ray is formed once.  A row whose e_i is
-    exactly the simple root a_i is the root w^-1 a_i: it is read by id and
-    stands in the key as the rank of its ``vec_key`` among the roots' keys.
+    ``ids[w^-1][k]``; each scaled ray, and each distinct row with its key,
+    is formed once.  A row whose e_i is exactly the simple root a_i is the
+    root w^-1 a_i: it is read by id and stands in the key as the rank of
+    its ``vec_key`` among the roots' keys.
     """
     table = system.orbit_rays[0]
     n, field = system.rank, system.field
@@ -198,15 +199,21 @@ def _matrix_keys(system: CoxeterSystem, ids: dict[int, tuple[int, ...]]
     terms = [[(k, simple[k][i]) for k in range(n) if not simple[k][i].is_zero()]
              for i in range(n)]
     scaled: dict[tuple[int, int, int], Vector] = {}   # (i, k, id) -> (a_k)_i ray
+    row_keys: dict[tuple[int, ...], tuple] = {}   # (i, ray ids) -> row key
+
+    def part(i: int, k: int, ray: int, coeff) -> Vector:
+        v = scaled.get((i, k, ray))
+        if v is None:
+            v = scaled[i, k, ray] = vec_scale(table[ray], coeff)
+        return v
 
     def row(i: int, rays: tuple[int, ...]) -> tuple:
-        parts = []
-        for k, coeff in terms[i]:
-            part = scaled.get((i, k, rays[k]))
-            if part is None:
-                part = scaled[i, k, rays[k]] = vec_scale(table[rays[k]], coeff)
-            parts.append(part)
-        return vec_key(reduce(vec_add, parts))
+        ids = (i, *(rays[k] for k, _ in terms[i]))
+        key = row_keys.get(ids)
+        if key is None:
+            parts = [part(i, k, rays[k], coeff) for k, coeff in terms[i]]
+            key = row_keys[ids] = vec_key(reduce(vec_add, parts))
+        return key
 
     keys = []
     for w in range(system.order):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
+from math import gcd, lcm
 from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -285,9 +286,13 @@ def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
     report = FiberReport()
     skeleton = [s for s in xc.all_simplices() if len(s) <= system.rank - 1]
     image = {s: simplex_element(system, ordered, s) for s in skeleton}
+    # an image inside NC(W) reads the relation from the lattice's order table
+    in_ncp = {s: ncp.position.get(u) for s, u in image.items()}
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
-        lhs = {s for s in skeleton if system.precedes(image[s], w)}
+        lhs = {s for s in skeleton
+               if (ncp.leq[in_ncp[s]][pos] if in_ncp[s] is not None
+                   else system.precedes(image[s], w))}
         rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
         if lhs != rhs:
             report.mismatches.append((w, sorted(lhs ^ rhs)))
@@ -380,16 +385,20 @@ class Chain:
         return f"Chain({len(self.coefficients)} terms, dim {self.support_dim()})"
 
 
-def _sparse_rank(columns: Iterable[dict[int, Fraction]],
-                 pivots: Optional[dict[int, dict[int, Fraction]]] = None) -> int:
+def _sparse_rank(columns: Iterable[dict[int, int]],
+                 pivots: Optional[dict[int, dict[int, int]]] = None) -> int:
     """Exact rank over the rationals of the matrix with the given sparse
-    columns (row index -> nonzero entry).
+    integer columns (row index -> nonzero entry).
 
-    Column reduction by lowest nonzero row: a column is reduced against the
-    earlier pivot column with the same lowest row until its lowest row is
-    new (it becomes a pivot) or it vanishes.  With ``pivots`` (lowest row ->
-    reduced column, pivot entry 1) passed in, the reduction continues from
-    those columns and the count is the rank the new columns add.
+    Fraction-free column reduction by lowest nonzero row: a column whose
+    lowest row holds c is replaced by p * col - c * pivot, where the earlier
+    pivot column with the same lowest row holds p there, and then divided
+    by the gcd of its entries, until its lowest row is new (it becomes a
+    pivot) or it vanishes.  Each step scales by a nonzero constant and adds
+    a multiple of another column, so the rank over Q is unchanged.  With
+    ``pivots`` (lowest row -> reduced integer column, entries coprime,
+    pivot entry positive) passed in, the reduction continues from those
+    columns and the count is the rank the new columns add.
     """
     if pivots is None:
         pivots = {}
@@ -400,23 +409,32 @@ def _sparse_rank(columns: Iterable[dict[int, Fraction]],
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                inv = 1 / col[low]
-                pivots[low] = {row: value * inv for row, value in col.items()}
+                g = gcd(*col.values())
+                if col[low] < 0:
+                    g = -g
+                pivots[low] = {row: value // g for row, value in col.items()}
                 added += 1
                 break
-            factor = col[low]
+            p, c = other[low], col[low]
+            g = gcd(p, c)
+            p, c = p // g, c // g
+            if p != 1:
+                col = {row: value * p for row, value in col.items()}
             for row, value in other.items():
-                new = col.get(row, 0) - factor * value
+                new = col.get(row, 0) - c * value
                 if new:
                     col[row] = new
                 else:
                     del col[row]
+            g = gcd(*col.values())
+            if g > 1:
+                col = {row: value // g for row, value in col.items()}
     return added
 
 
-def _boundary_column(simplex: tuple, pos: dict) -> dict[int, Fraction]:
+def _boundary_column(simplex: tuple, pos: dict) -> dict[int, int]:
     """The boundary of an oriented simplex, keyed by the faces' positions."""
-    return {pos[simplex[:i] + simplex[i + 1:]]: Fraction(-1 if i % 2 else 1)
+    return {pos[simplex[:i] + simplex[i + 1:]]: -1 if i % 2 else 1
             for i in range(len(simplex))}
 
 
@@ -486,11 +504,18 @@ def cycle_space_rank(cycles: list[Chain], complex_: SimplicialComplex,
     by_dim = complex_.simplices_by_dim()
     basis = by_dim.get(dim, [()] if dim == -1 else [])
     pos = {s: i for i, s in enumerate(basis)}
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     _sparse_rank((_boundary_column(s, pos) for s in by_dim.get(dim + 1, [])),
                  pivots)
-    return _sparse_rank(({pos[s]: c for s, c in cy.coefficients.items()}
-                         for cy in cycles), pivots)
+    return _sparse_rank((_integer_column(cy, pos) for cy in cycles), pivots)
+
+
+def _integer_column(chain: Chain, pos: dict) -> dict[int, int]:
+    """A chain's coefficients times the lcm of their denominators, keyed
+    by the simplices' positions."""
+    den = lcm(*(c.denominator for c in chain.coefficients.values()))
+    return {pos[s]: c.numerator * (den // c.denominator)
+            for s, c in chain.coefficients.items()}
 
 
 def mobius_number(ncp: NcpLattice) -> int:

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 from .fields import (FieldError, NumberField, Scalar, biquadratic_field,
                      cosine_field, quadratic_field, rationals)
-from .linalg import Matrix, Vector, dot, vec_key, vec_neg, vec_sub
+from .linalg import Matrix, Vector, dot, vec_neg, vec_sub
 
 DEFAULT_GROUP_CAP = 2_000_000
 
@@ -315,10 +315,11 @@ def simple_orbit(seeds: list[Vector], simple_roots: list[Vector]
                  ) -> tuple[list[Vector], dict[tuple, int], list[tuple[int, ...]]]:
     """The union of the W-orbits of distinct seed vectors, closed
     breadth-first under the reflections in the unit simple roots (ids
-    ``0..len(seeds)-1`` are the seeds), the id of each vector by ``vec_key``,
-    and each simple reflection as a permutation of the ids."""
+    ``0..len(seeds)-1`` are the seeds), the id of each vector (keyed by
+    the vector itself), and each simple reflection as a permutation of the
+    ids."""
     vectors = list(seeds)
-    ids = {vec_key(v): k for k, v in enumerate(vectors)}
+    ids = {v: k for k, v in enumerate(vectors)}
     images: list[list[int]] = [[] for _ in simple_roots]
     head = 0
     while head < len(vectors):
@@ -326,10 +327,9 @@ def simple_orbit(seeds: list[Vector], simple_roots: list[Vector]
         head += 1
         for a, row in zip(simple_roots, images):
             image = _reflect(v, a)
-            key = vec_key(image)
-            k = ids.get(key)
+            k = ids.get(image)
             if k is None:
-                k = ids[key] = len(vectors)
+                k = ids[image] = len(vectors)
                 vectors.append(image)
             row.append(k)
     return vectors, ids, [tuple(row) for row in images]
@@ -446,7 +446,7 @@ class CoxeterSystem:
                                                          self.simple_roots)
         self.roots = roots
         self.root_id = root_id
-        self.negative = [root_id[vec_key(vec_neg(v))] for v in roots]
+        self.negative = [root_id[vec_neg(v)] for v in roots]
 
     @cached_property
     def orbit_rays(self) -> tuple[list[Vector], list[tuple[int, ...]]]:
@@ -554,7 +554,7 @@ class CoxeterSystem:
         return self.lengths[w] == self.lengths[u] + self.lengths[rest]
 
     def reflection_of_root(self, root: Vector) -> int:
-        return self._reflection_of_root_id[self.root_id[vec_key(root)]]
+        return self._reflection_of_root_id[self.root_id[root]]
 
     def matrix(self, i: int) -> Matrix:
         """The orthogonal matrix of element i: R A^-1, where the columns of

@@ -20,7 +20,6 @@ homology embedding, and its rank certifies injectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional
@@ -220,13 +219,13 @@ def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
     if flats is None:
         flats = intersection_lattice(system)
     lines = [f for f in flats if f.codim == system.rank - 1]
-    ray_keys = {vec_key(r) for r in rays}
+    ray_keys = set(rays)
     line_keys = set()
     for f in lines:
         kernel = Matrix(system.field, list(f.normals)).kernel()
         if len(kernel) != 1:
             return False
-        line_keys.add(vec_key(canonical_ray(kernel[0])))
+        line_keys.add(canonical_ray(kernel[0]))
     return ray_keys == line_keys
 
 
@@ -279,7 +278,7 @@ def _walk_facets(system: CoxeterSystem, vc: VertexComplex,
     position = {c.element: pos for pos, c in enumerate(chamber_list)}
     root_position = [None] * len(system.roots)   # id -> (ordered pos, +-1)
     for j, rho in enumerate(vc.roots):
-        k = system.root_id[vec_key(rho)]
+        k = system.root_id[rho]
         root_position[k] = (j, 1)
         root_position[system.negative[k]] = (j, -1)
     zeros = [sum(1 << j for j, p in enumerate(row) if p.is_zero())
@@ -382,7 +381,7 @@ def embedding_report(system: CoxeterSystem, vc: VertexComplex,
                 incident_all_bounded = False
             else:
                 incidence[row_of[pos]][col] = 1
-                columns[col][row_of[pos]] = Fraction(1)
+                columns[col][row_of[pos]] = 1
 
     columns_disjoint = all(h <= 1 for h in hits_per_chamber)
     columns_nonempty = all(w >= 1 for w in column_weights)

@@ -1,13 +1,19 @@
 """Exact arithmetic in real algebraic number fields Q(theta).
 
 A field is described by an integer minimal polynomial together with a
-rational isolating interval that singles out one real root theta.  Scalars
-are stored as rational coordinate vectors in the power basis
-1, theta, ..., theta^(d-1), so addition and multiplication are exact.  The
-sign of a scalar is decided exactly: zero by coordinate comparison (with a
-gcd/Sturm fallback that stays sound even for an undetected reducible
-modulus), nonzero sign by bisecting the isolating interval until rational
-interval arithmetic excludes zero.
+rational isolating interval that singles out one real root theta.  A
+scalar is d integer numerators over one positive denominator in the power
+basis 1, theta, ..., theta^(d-1), kept in lowest terms, so equality and
+hashing compare integer tuples.  Addition works on shared denominators;
+multiplication is an integer convolution reduced by an integer table of
+theta^d, ..., theta^(2d-2), built once per field (over a common
+denominator when the polynomial is not monic).  Inverses use the norm in
+degree 2 and extended Euclid on integer polynomials above.  The sign of a
+scalar is decided exactly: zero by comparing numerators (with a gcd/Sturm
+fallback that stays sound even for an undetected reducible modulus),
+nonzero sign by bisecting the isolating interval until integer interval
+Horner sums exclude zero.  ``Scalar.coords`` gives the rational
+coordinates for serialization.
 
 All values are immutable after construction; the only mutable state is the
 cached refinement of the isolating interval, which only ever shrinks.
@@ -19,6 +25,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Optional
 
 
@@ -50,15 +57,17 @@ def _poly_scale(p, c):
     return tuple(a * c for a in p)
 
 
-def _poly_mul(p, q):
+def _poly_mul(p, q) -> list:
+    """The len(p) + len(q) - 1 product coefficients; without trailing zeros
+    when neither factor has any."""
     if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        return []
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return _strip(out)
+    return out
 
 
 def _poly_divmod(p, q):
@@ -186,6 +195,48 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# extended Euclid on integer polynomials
+# ---------------------------------------------------------------------------
+
+def _int_pseudo_divmod(a, b):
+    """(m, q, r) with m * a == q * b + r over Z[x], deg r < deg b and m a
+    power of the leading coefficient of b (pseudo-division)."""
+    lead, db = b[-1], len(b) - 1
+    rem, quo, m = list(a), [0] * max(0, len(a) - db), 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            if lead != 1:
+                rem = [x * lead for x in rem]
+                quo = [x * lead for x in quo]
+                m *= lead
+            quo[i - db] += c
+            for j, y in enumerate(b):
+                rem[i - db + j] -= c * y
+    return m, _strip(quo), _strip(rem)
+
+
+def _int_inverse(f, p) -> tuple[tuple[int, ...], int]:
+    """(s, c) with s * f == c modulo p for a nonzero integer c: extended
+    Euclid on integer polynomials by pseudo-division, each remainder and
+    its cofactor divided by their common content."""
+    r0, s0 = _strip(f), (1,)
+    r1, s1 = _strip(p), ()
+    while r1:
+        m, q, r = _int_pseudo_divmod(r0, r1)
+        # r = m r0 - q r1, so its cofactor is m s0 - q s1
+        s = _poly_add(_poly_scale(s0, m), _poly_scale(_poly_mul(q, s1), -1))
+        g = math.gcd(*r, *s)
+        if g > 1:
+            r, s = tuple(x // g for x in r), tuple(x // g for x in s)
+        r0, s0, r1, s1 = r1, s1, r, s
+    if len(r0) != 1:
+        raise FieldError(
+            "zero divisor encountered: the minimal polynomial is reducible")
+    return s0, r0[0]
+
+
+# ---------------------------------------------------------------------------
 # number fields
 # ---------------------------------------------------------------------------
 
@@ -213,7 +264,7 @@ class NumberField:
         lo, hi = (Fraction(b) for b in isolating_interval)
         if not lo < hi:
             raise FieldError("isolating interval must be nonempty")
-        self._lo, self._hi = lo, hi
+        self._set_interval(lo, hi)
         self._initial_interval = (lo, hi)
         self.name = name or f"Q[x]/({coeffs})"
         if self.degree == 1:
@@ -223,7 +274,8 @@ class NumberField:
             )
         if _validate:
             self._validate()
-        # monic reduction data: theta^d = sum(red[i] * theta^i)
+        # reduction table: theta^(d+k) = sum(table[k][i] theta^i) / table_den,
+        # integer rows over one denominator (1 for a monic polynomial)
         lead = Fraction(coeffs[-1])
         monic_tail = tuple(Fraction(-c, 1) / lead for c in coeffs[:-1])
         powers = [monic_tail]
@@ -234,13 +286,14 @@ class NumberField:
             if top:
                 nxt = [a + top * b for a, b in zip(nxt, monic_tail)]
             powers.append(tuple(nxt))
-        self._power_table = tuple(powers)
+        den = math.lcm(*(c.denominator for row in powers for c in row))
+        self._table = tuple(tuple(int(c * den) for c in row) for row in powers)
+        self._table_den = den
         self._sign_at_lo = 1 if _poly_eval(coeffs, lo) > 0 else -1
-        self.zero = Scalar(self, (Fraction(0),) * self.degree)
+        self._zero_tail = (0,) * (self.degree - 1)
+        self.zero = Scalar(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
-        self.theta = Scalar(
-            self, tuple(Fraction(1 if i == 1 else 0) for i in range(self.degree))
-        )
+        self.theta = Scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
         #: known (u, sqrt(u)) pairs used by the in-field square-root search
         self.sqrt_units: list[tuple[Scalar, Scalar]] = []
         #: exact values of cos(pi/m) for the m this field can express
@@ -271,16 +324,30 @@ class NumberField:
 
     # -- scalar constructors -------------------------------------------------
 
+    def from_ints(self, num, den=1) -> "Scalar":
+        """The scalar sum(num[i] theta^i) / den (den nonzero, d integer
+        numerators), brought to lowest terms with a positive denominator."""
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return Scalar(self, tuple([x // g for x in num]), den // g)
+        return Scalar(self, tuple(num), den)
+
     def from_rational(self, q) -> "Scalar":
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(q)
-        return Scalar(self, tuple(coords))
+        if type(q) is int:
+            return Scalar(self, (q,) + self._zero_tail, 1)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return Scalar(self, (q.numerator,) + self._zero_tail, q.denominator)
 
     def from_coords(self, coords) -> "Scalar":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise FieldError("coordinate vector has wrong length")
-        return Scalar(self, coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        return self.from_ints(
+            [c.numerator * (den // c.denominator) for c in coords], den)
 
     def coerce(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -296,6 +363,14 @@ class NumberField:
     def interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
+    def _set_interval(self, lo: Fraction, hi: Fraction):
+        """Store (lo, hi) and its integer form (lo * q, hi * q, q) over the
+        common denominator q, which the sign test evaluates on."""
+        self._lo, self._hi = lo, hi
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._scaled_interval = (lo.numerator * (q // lo.denominator),
+                                 hi.numerator * (q // hi.denominator), q)
+
     def refine_interval(self):
         """One bisection step; keeps theta inside (lo, hi)."""
         mid = (self._lo + self._hi) / 2
@@ -306,9 +381,9 @@ class NumberField:
             raise FieldError(
                 "rational root hit while refining the isolating interval")
         if (1 if value > 0 else -1) != self._sign_at_lo:
-            self._hi = mid
+            self._set_interval(self._lo, mid)
         else:
-            self._lo = mid
+            self._set_interval(mid, self._hi)
 
     def theta_float(self) -> float:
         while float(self._hi) - float(self._lo) > 1e-14:
@@ -317,17 +392,24 @@ class NumberField:
 
     # -- exact reduction / zero test ------------------------------------------
 
-    def _reduce(self, conv):
-        """Reduce a convolution (length <= 2d-1) modulo the minimal polynomial."""
-        d = self.degree
-        coords = list(conv[:d]) + [Fraction(0)] * max(0, d - len(conv))
-        for k in range(len(conv) - 1, d - 1, -1):
+    def from_convolution(self, conv: list, den: int) -> "Scalar":
+        """The scalar sum(conv[k] theta^k) / den for integer coefficients
+        (at most 2d-1 of them, as in a product of two scalars' numerators),
+        reduced modulo the minimal polynomial by the integer table."""
+        return self.from_ints(self._reduce(conv), den * self._table_den)
+
+    def _reduce(self, conv: list) -> list:
+        """The d integer numerators of ``conv`` reduced modulo the minimal
+        polynomial, over the denominator ``_table_den``."""
+        d, den = self.degree, self._table_den
+        out = conv[:d] if den == 1 else [c * den for c in conv[:d]]
+        out += [0] * (d - len(out))
+        for k in range(d, len(conv)):
             c = conv[k]
             if c:
-                row = self._power_table[k - d]
-                for i in range(d):
-                    coords[i] += c * row[i]
-        return tuple(coords[:d])
+                for i, t in enumerate(self._table[k - d]):
+                    out[i] += c * t
+        return out
 
     def _is_zero_at_theta(self, coords) -> bool:
         """Exact test f(theta) == 0 (sound even if the modulus is reducible)."""
@@ -354,7 +436,7 @@ class NumberField:
         if s < 0:
             return None
         if x.is_rational():
-            r = rational_sqrt(x.coords[0])
+            r = rational_sqrt(x.as_fraction())
             if r is not None:
                 return self.from_rational(r)
         if self.degree == 2:
@@ -364,7 +446,7 @@ class NumberField:
         for u, su in self.sqrt_units:
             t = x / u
             if t.is_rational():
-                r = rational_sqrt(t.coords[0])
+                r = rational_sqrt(t.as_fraction())
                 if r is not None:
                     y = su * r
                     if y.sign() < 0:
@@ -374,12 +456,12 @@ class NumberField:
 
     def _sqrt_quadratic(self, x: "Scalar") -> Optional["Scalar"]:
         # theta^2 = e + f*theta; solve (a + b*theta)^2 = x0 + x1*theta
-        e, f = self._power_table[0]
+        e, f = (Fraction(c, self._table_den) for c in self._table[0])
         x0, x1 = x.coords
 
         def check(a, b):
             y = self.from_coords((a, b))
-            if (y * y).coords == x.coords:
+            if y * y == x:
                 return y if y.sign() > 0 else -y
             return None
 
@@ -437,10 +519,11 @@ class _RationalField(NumberField):
         self.minimal_polynomial = (0, 1)
         self.degree = 1
         self.name = "Q"
-        self._lo = Fraction(-1)
-        self._hi = Fraction(1)
-        self.zero = Scalar(self, (Fraction(0),))
-        self.one = Scalar(self, (Fraction(1),))
+        self._set_interval(Fraction(-1), Fraction(1))
+        self._table, self._table_den = (), 1
+        self._zero_tail = ()
+        self.zero = Scalar(self, (0,), 1)
+        self.one = Scalar(self, (1,), 1)
         self.sqrt_units = []
         self.cos_table = {}
         self._install_rational_cosines()
@@ -452,14 +535,14 @@ class _RationalField(NumberField):
         return 0.0
 
     def _reduce(self, conv):
-        return (conv[0] if conv else Fraction(0),)
+        return conv[:1]
 
     def _is_zero_at_theta(self, coords):
         return not _strip(coords)
 
     def sqrt(self, x):
         x = self.coerce(x)
-        r = rational_sqrt(x.coords[0])
+        r = rational_sqrt(x.as_fraction())
         return None if r is None else self.from_rational(r)
 
 
@@ -478,13 +561,21 @@ def field_create(minimal_polynomial, isolating_interval, name=None) -> NumberFie
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of a NumberField, exact in the power basis of theta."""
+    """An element sum(num[i] theta^i) / den of a NumberField: integer
+    numerators over one positive denominator, in lowest terms
+    (gcd(den, *num) == 1), so equal scalars have equal (num, den)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coords: tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coordinates (built on each access)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- ring operations ----------------------------------------------------
 
@@ -497,11 +588,19 @@ class Scalar:
             return self.field.from_rational(other)
         return None
 
+    def _combine(self, o: "Scalar", op) -> "Scalar":
+        """self op o for op in (add, sub), on a shared denominator."""
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da != db:
+            a, b = [x * db for x in a], [y * da for y in b]
+        return self.field.from_ints(list(map(op, a, b)),
+                                    da if da == db else da * db)
+
     def __add__(self, other):
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return self._combine(o, add)
 
     __radd__ = __add__
 
@@ -509,7 +608,7 @@ class Scalar:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._combine(o, sub)
 
     def __rsub__(self, other):
         o = self._pair(other)
@@ -518,48 +617,36 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coords))
+        return Scalar(self.field, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        if self.field.degree == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return Scalar(self.field, self.field._reduce(conv))
+        return self.field.from_convolution(_poly_mul(self.num, o.num),
+                                           self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.field.degree == 1:
-            if self.coords[0] == 0:
-                raise ZeroDivisionError("scalar inverse of zero")
-            return Scalar(self.field, (1 / self.coords[0],))
-        f = _strip(self.coords)
-        if not f:
+        field, num, den = self.field, self.num, self.den
+        if not any(num):
             raise ZeroDivisionError("scalar inverse of zero")
-        p = tuple(Fraction(c) for c in self.field.minimal_polynomial)
-        # extended Euclid: s*f + t*p = g
-        r0, r1 = f, p
-        s0, s1 = (Fraction(1),), ()
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, tuple(-c for c in _poly_mul(q, s1)))
-        if len(r0) != 1:
-            raise FieldError(
-                "zero divisor encountered: the minimal polynomial is reducible"
-            )
-        inv = _poly_scale(s0, 1 / r0[0])
-        coords = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
-        return Scalar(self.field, tuple(coords[: self.field.degree]))
+        if field.degree == 1:
+            return field.from_ints((den,), num[0])
+        if field.degree == 2:
+            # theta^2 = e + f theta with e = E/D, f = F/D:
+            # (a + b theta)^-1 = (a D + b F - b D theta) / (a^2 D + a b F - b^2 E)
+            a, b = num
+            (e, f), d = field._table[0], field._table_den
+            norm = a * a * d + a * b * f - b * b * e
+            if norm == 0:
+                raise FieldError(
+                    "zero divisor encountered: the minimal polynomial is reducible")
+            return field.from_ints((den * (a * d + b * f), -den * b * d), norm)
+        s, c = _int_inverse(num, field.minimal_polynomial)
+        return field.from_ints([den * x for x in s]
+                               + [0] * (field.degree - len(s)), c)
 
     def __truediv__(self, other):
         o = self._pair(other)
@@ -580,33 +667,32 @@ class Scalar:
             other = self.field.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field is other.field and self.coords == other.coords
+        return (self.field is other.field and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise FieldError("scalar is irrational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def sign(self) -> int:
         """Exact sign of the real number this scalar designates."""
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return 1 if self.coords[0] > 0 else -1
+        num = self.num
+        if not any(num[1:]):
+            return (num[0] > 0) - (num[0] < 0)
         field = self.field
         steps = 0
         while True:
-            lo, hi = field.interval()
-            s = self._interval_sign(lo, hi)
+            s = self._interval_sign(*field._scaled_interval)
             if s is not None:
                 return s
             field.refine_interval()
@@ -617,11 +703,18 @@ class Scalar:
             if steps > 10000:
                 raise FieldError("sign refinement failed to converge")
 
-    def _interval_sign(self, lo, hi) -> Optional[int]:
-        vlo = vhi = Fraction(0)
-        for c in reversed(self.coords):
+    def _interval_sign(self, lo: int, hi: int, q: int) -> Optional[int]:
+        """The sign of the numerator polynomial on the interval
+        (lo/q, hi/q), if interval Horner excludes zero.  The sums are kept
+        scaled by q^k after k steps, which leaves the bounds' signs as they
+        are over the rationals."""
+        vlo = vhi = 0
+        scale = 1
+        for c in reversed(self.num):
             cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            c *= scale
             vlo, vhi = min(cands) + c, max(cands) + c
+            scale *= q
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -648,17 +741,20 @@ class Scalar:
         return self.field.sqrt(self)
 
     def __float__(self):
+        # the same float as summing float(coords[i]) by Horner's rule:
+        # int / int is correctly rounded, reduced or not
+        den = self.den
         if self.field.degree == 1:
-            return float(self.coords[0])
+            return self.num[0] / den
         t = self.field.theta_float()
         acc = 0.0
-        for c in reversed(self.coords):
-            acc = acc * t + float(c)
+        for x in reversed(self.num):
+            acc = acc * t + x / den
         return acc
 
     def __repr__(self):
         if self.is_rational():
-            return f"Scalar({self.coords[0]})"
+            return f"Scalar({self.as_fraction()})"
         return f"Scalar({list(self.coords)} @ {self.field.name})"
 
 

@@ -1,15 +1,20 @@
 """Exact dense linear algebra over a NumberField.
 
-Vectors are tuples of Scalars, matrices are tuples of row tuples.  Gaussian
-elimination with exact zero tests gives exact rank, kernel, determinant,
-inverse and linear solves; nothing here ever touches floating point.
+Vectors are tuples of Scalars, matrices are tuples of row tuples.  A dot
+product sums the unreduced integer convolutions of its terms over one
+common denominator, then reduces modulo the minimal polynomial and takes
+one gcd, instead of one reduction per term; matrix products, matrix-vector
+products and reflections all go through it.  Gaussian elimination with
+exact zero tests gives exact rank, kernel, determinant, inverse and linear
+solves; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional
 
-from .fields import NumberField, Scalar
+from .fields import FieldError, NumberField, Scalar
 
 Vector = tuple  # tuple[Scalar, ...]
 
@@ -31,14 +36,36 @@ def vec_scale(u: Vector, c) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> Scalar:
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    """u . v with one polynomial reduction and one gcd: the integer
+    convolutions of the terms are summed over the least common multiple of
+    their denominators."""
+    field = u[0].field
+    acc = [0] * (2 * field.degree - 1)
+    den = 1
+    for a, b in zip(u, v):
+        if a.field is not field or b.field is not field:
+            raise FieldError("mixed-field arithmetic")
+        term = a.den * b.den
+        m = 1
+        if term != den:
+            grow = term // gcd(den, term)
+            if grow != 1:
+                acc = [c * grow for c in acc]
+                den *= grow
+            m = den // term
+        for i, x in enumerate(a.num):
+            if x:
+                x *= m
+                for j, y in enumerate(b.num):
+                    acc[i + j] += x * y
+    return field.from_convolution(acc, den)
 
 
 def vec_key(u: Vector) -> tuple:
-    """Hashable exact key (power-basis coordinates)."""
+    """Exact key that sorts vectors by their rational power-basis
+    coordinates.  Tables that only hash key vectors by the vectors
+    themselves, since equal scalars have equal integer numerators and
+    denominators."""
     return tuple(a.coords for a in u)
 
 
@@ -89,11 +116,11 @@ class Matrix:
         return Matrix(self.field, [vec_scale(r, c) for r in self.rows])
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.key() == other.key()
-                and self.field is other.field)
+        return (isinstance(other, Matrix) and self.field is other.field
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.rows)
 
     def key(self) -> tuple:
         return tuple(vec_key(r) for r in self.rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterSystem, _compose, reflection_matrix
-from .linalg import Matrix, Vector, dot, vec_key
+from .linalg import Matrix, Vector, dot
 
 
 class RootOrderError(ValueError):
@@ -26,7 +26,7 @@ class OrderedRoots:
     system: CoxeterSystem
     roots: list[Vector]
     reflection_index: list[int]   # group index of the reflection of roots[i]
-    position_of: dict[tuple, int]  # vec_key(root) -> 0-based position
+    position_of: dict[tuple, int]  # root -> 0-based position
 
     @property
     def count(self) -> int:
@@ -57,13 +57,12 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
     for i, rho in enumerate(roots):
         if dot(rho, system.interior_point).sign() <= 0:
             raise RootOrderError(f"root {i + 1} in the sequence is not positive")
-        key = vec_key(rho)
-        if key in position_of:
+        if rho in position_of:
             raise RootOrderError(f"duplicate root at positions "
-                                 f"{position_of[key] + 1} and {i + 1}")
-        position_of[key] = i
+                                 f"{position_of[rho] + 1} and {i + 1}")
+        position_of[rho] = i
 
-    positive_system = {vec_key(root) for _, root in system.reflections}
+    positive_system = {root for _, root in system.reflections}
     if set(position_of) != positive_system:
         raise RootOrderError("sequence does not enumerate the positive system")
 

@@ -1,5 +1,7 @@
 """Lattice, flag complex, order complexes, homology, cycles, Moebius."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,27 @@ def test_fiber_identity(label, rank):
                           bundle.ncp)
     assert report.ok
     assert report.checked == bundle.ncp.size - 2
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
+def test_fiber_report_matches_the_precedes_only_left_side(label, rank):
+    """The left side read from the NC(W) order table, against one
+    ``precedes`` call per (simplex, w) pair."""
+    bundle = bundle_for(label, rank)
+    system, ordered, xc, ncp = (bundle.system, bundle.ordered,
+                                bundle.root_complex, bundle.ncp)
+    skeleton = [s for s in xc.all_simplices() if len(s) <= system.rank - 1]
+    expected = []
+    for pos in ncp.proper_positions():
+        w = ncp.elements[pos]
+        lhs = {s for s in skeleton
+               if system.precedes(simplex_element(system, ordered, s), w)}
+        rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
+        if lhs != rhs:
+            expected.append((w, sorted(lhs ^ rhs)))
+    report = fiber_report(system, ordered, xc, ncp)
+    assert report.mismatches == expected == []
+    assert report.checked == ncp.size - 2
 
 
 def test_order_complex_antichain_and_chain():
@@ -231,9 +254,9 @@ def _dense_rank(entries: list[list[int]]) -> int:
                        for row in entries]).rank()
 
 
-def _columns(entries: list[list[int]]) -> list[dict[int, Fraction]]:
+def _columns(entries: list[list[int]]) -> list[dict[int, int]]:
     ncols = len(entries[0]) if entries else 0
-    return [{i: Fraction(row[j]) for i, row in enumerate(entries) if row[j]}
+    return [{i: row[j] for i, row in enumerate(entries) if row[j]}
             for j in range(ncols)]
 
 
@@ -264,6 +287,62 @@ def test_sparse_rank_matches_dense_on_every_boundary_matrix(label, rank):
 def test_sparse_rank_matches_dense_on_the_incidence_matrix(label, rank):
     incidence = bundle_for(label, rank).embedding.incidence
     assert _sparse_rank(_columns(incidence)) == _dense_rank(incidence)
+
+
+def _fraction_rank(columns) -> int:
+    """Column reduction by lowest row over Fractions, pivot entry 1."""
+    pivots, rank = {}, 0
+    for column in columns:
+        col = {row: Fraction(value) for row, value in column.items()}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = {row: value / col[low] for row, value in col.items()}
+                rank += 1
+                break
+            factor = col[low]
+            for row, value in other.items():
+                new = col.get(row, 0) - factor * value
+                if new:
+                    col[row] = new
+                else:
+                    del col[row]
+    return rank
+
+
+def test_sparse_rank_is_the_rank_over_q_not_mod_two():
+    entries = [[1, 1], [1, -1]]
+    assert _sparse_rank(_columns(entries)) == _fraction_rank(_columns(entries)) == 2
+    pivots = {}
+    assert _sparse_rank(_columns([[1, 1, 0], [1, -1, 2], [0, 0, 0]]), pivots) == 2
+    # stored pivots are integer, content 1, with a positive pivot entry
+    for low, col in pivots.items():
+        assert all(type(v) is int for v in col.values())
+        assert col[low] > 0 and math.gcd(*col.values()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 10**6))
+def test_sparse_rank_matches_the_fraction_reduction(nrows, ncols, seed):
+    rng = random.Random(seed)
+    entries = [[rng.choice((-1, 0, 0, 1)) for _ in range(ncols)]
+               for _ in range(nrows)]
+    columns = _columns(entries)
+    assert _sparse_rank(columns) == _fraction_rank(columns)
+    # integer columns with larger entries and a common factor
+    scaled = [{row: value * rng.choice((2, -3, 6)) for row, value in col.items()}
+              for col in columns]
+    assert _sparse_rank(scaled) == _fraction_rank(scaled)
+
+
+def test_cycle_space_rank_clears_denominators(b3):
+    cycles = b3.basis_cycles
+    halved = [Chain({s: c * Fraction(1, 2 + k % 3) for s, c in cy.coefficients.items()})
+              for k, cy in enumerate(cycles)]
+    assert cycle_space_rank(halved, b3.ncp_order_complex, 1) == 10
+    doubled = halved[:3] + [Chain({s: 2 * c for s, c in halved[0].coefficients.items()})]
+    assert cycle_space_rank(doubled, b3.ncp_order_complex, 1) == 3
 
 
 @st.composite

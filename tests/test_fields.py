@@ -162,3 +162,250 @@ def test_zero_divisor_detected_lazily():
     with pytest.raises(FieldError):
         bad.sign()
     assert field._is_zero_at_theta(bad.coords)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against rational power-basis arithmetic
+# ---------------------------------------------------------------------------
+
+def _strip_oracle(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _divmod_oracle(p, q):
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    for i in range(len(rem) - 1, len(q) - 2, -1):
+        c = rem[i] / q[-1]
+        quo[i - len(q) + 1] = c
+        for j, y in enumerate(q):
+            rem[i - len(q) + 1 + j] -= c * y
+    return _strip_oracle(quo), _strip_oracle(rem)
+
+
+def _mul_oracle(p, q):
+    out = [Fraction(0)] * max(0, len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return _strip_oracle(out)
+
+
+class _Oracle:
+    """Arithmetic on tuples of Fraction coordinates, one reduction per
+    product, extended Euclid over Q and interval signs on Fractions."""
+
+    def __init__(self, field):
+        self.poly = tuple(Fraction(c) for c in field.minimal_polynomial)
+        self.d = field.degree
+        tail = tuple(-c / self.poly[-1] for c in self.poly[:-1])
+        powers = [tail]
+        for _ in range(self.d - 2):
+            prev = powers[-1]
+            powers.append(tuple((prev[i - 1] if i else 0) + prev[-1] * tail[i]
+                                for i in range(self.d)))
+        self.powers = powers
+        lo, hi = field.interval()
+        self.lo, self.hi = lo, hi
+        self.sign_at_lo = self._eval(self.poly, lo) > 0
+
+    @staticmethod
+    def _eval(p, x):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    def mul(self, a, b):
+        conv = [Fraction(0)] * (2 * self.d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        out = list(conv[:self.d])
+        for k in range(self.d, len(conv)):
+            for i in range(self.d):
+                out[i] += conv[k] * self.powers[k - self.d][i]
+        return tuple(out)
+
+    def inverse(self, a):
+        r0, r1 = _strip_oracle(a), self.poly
+        s0, s1 = (Fraction(1),), ()
+        while r1:
+            q, r = _divmod_oracle(r0, r1)
+            r0, r1 = r1, r
+            qs = _mul_oracle(q, s1)
+            n = max(len(s0), len(qs))
+            s0, s1 = s1, _strip_oracle(
+                (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+                for i in range(n))
+        assert len(r0) == 1
+        s = [c / r0[0] for c in s0] + [Fraction(0)] * self.d
+        return tuple(s[:self.d])
+
+    @staticmethod
+    def interval_sign(coords, lo, hi):
+        vlo = vhi = Fraction(0)
+        for c in reversed(coords):
+            cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            vlo, vhi = min(cands) + c, max(cands) + c
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        return None
+
+    def sign(self, coords):
+        if not any(coords):
+            return 0
+        if not any(coords[1:]):
+            return 1 if coords[0] > 0 else -1
+        lo, hi = self.lo, self.hi
+        while True:
+            s = self.interval_sign(coords, lo, hi)
+            if s is not None:
+                return s
+            mid = (lo + hi) / 2
+            if (self._eval(self.poly, mid) > 0) != self.sign_at_lo:
+                hi = mid
+            else:
+                lo = mid
+
+
+_KERNEL_FIELDS = {
+    "Q": rationals,
+    "Q(sqrt2)": lambda: quadratic_field(2),
+    "Q(sqrt5)": lambda: quadratic_field(5),
+    "Q(sqrt2+sqrt5)": lambda: biquadratic_field(2, 5),
+    "Q(2cos(pi/10))": lambda: cosine_field(10),
+    "Q[x]/(2x^2-3)": lambda: field_create((-3, 0, 2), (1, 2)),
+}
+
+
+def _random_coords(rng, d):
+    big = rng.random() < 0.2
+    return tuple(Fraction(rng.randint(-10**12, 10**12) if big else rng.randint(-9, 9),
+                          rng.choice((1, 1, 2, 3, 4, 6, 9, 10, 35)))
+                 if rng.random() < 0.8 else Fraction(0) for _ in range(d))
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_FIELDS))
+def test_kernel_matches_rational_coordinate_arithmetic(name):
+    field = _KERNEL_FIELDS[name]()
+    oracle = _Oracle(field)
+    rng = random.Random(f"kernel:{name}")
+    values = [_random_coords(rng, field.degree) for _ in range(80)]
+    values += [(Fraction(0),) * field.degree, (Fraction(1),) + (Fraction(0),) * (field.degree - 1)]
+    scalars = [field.from_coords(c) for c in values]
+    for x, cx in zip(scalars, values):
+        assert x.coords == cx
+        assert all(type(c) is Fraction for c in x.coords)
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+        assert (-x).coords == tuple(-c for c in cx)
+        assert x.sign() == oracle.sign(cx)
+        if any(cx):
+            assert x.inverse().coords == oracle.inverse(cx)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+    for _ in range(400):
+        i, j = rng.randrange(len(values)), rng.randrange(len(values))
+        x, y, cx, cy = scalars[i], scalars[j], values[i], values[j]
+        assert (x + y).coords == tuple(a + b for a, b in zip(cx, cy))
+        assert (x - y).coords == tuple(a - b for a, b in zip(cx, cy))
+        product = x * y
+        assert product.coords == oracle.mul(cx, cy)
+        assert product.den > 0 and math.gcd(product.den, *product.num) == 1
+        if any(cy):
+            assert (x / y).coords == oracle.mul(cx, oracle.inverse(cy))
+        # equal values built along different routes: equal keys and hashes
+        same = field.from_coords(product.coords)
+        assert same == product and hash(same) == hash(product)
+        assert (x == y) == (cx == cy)
+        assert (product - same).sign() == 0
+
+
+@pytest.mark.parametrize("name", [n for n in _KERNEL_FIELDS if n != "Q"])
+def test_integer_interval_sign_matches_rational_interval_sign(name):
+    field = _KERNEL_FIELDS[name]()
+    rng = random.Random(f"interval:{name}")
+    lo, hi = field._initial_interval
+    decided = undecided = 0
+    for _ in range(300):
+        coords = _random_coords(rng, field.degree)
+        x = field.from_coords(coords)
+        # any interval will do, also one that misses theta
+        a = lo - 2 + (hi - lo + 2) * Fraction(rng.randint(0, 100), 97)
+        b = a + Fraction(rng.randint(1, 300), rng.choice((100, 7, 1000)))
+        q = math.lcm(a.denominator, b.denominator)
+        expected = _Oracle.interval_sign(coords, a, b)
+        assert x._interval_sign(a.numerator * (q // a.denominator),
+                                b.numerator * (q // b.denominator), q) == expected
+        decided += expected is not None
+        undecided += expected is None
+    assert decided and undecided
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_FIELDS))
+def test_dot_reduces_once_to_the_sum_of_products(name):
+    from ncph.linalg import dot
+    field = _KERNEL_FIELDS[name]()
+    rng = random.Random(f"dot:{name}")
+    for n in range(1, 6):
+        for _ in range(20):
+            u = tuple(field.from_coords(_random_coords(rng, field.degree)) for _ in range(n))
+            v = tuple(field.from_coords(_random_coords(rng, field.degree)) for _ in range(n))
+            expected = field.zero
+            for a, b in zip(u, v):
+                expected = expected + a * b
+            got = dot(u, v)
+            assert got == expected and got.coords == expected.coords
+            assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+
+
+def test_dot_rejects_mixed_fields():
+    from ncph.linalg import dot
+    f2, f5 = quadratic_field(2), quadratic_field(5)
+    with pytest.raises(FieldError):
+        dot((f2.one, f2.theta), (f2.one, f5.theta))
+
+
+def test_vec_key_sorts_like_rational_coordinates():
+    from ncph.linalg import vec_key
+    rng = random.Random(11)
+    for name in ("Q", "Q(sqrt5)", "Q(sqrt2+sqrt5)", "Q[x]/(2x^2-3)"):
+        field = _KERNEL_FIELDS[name]()
+        rows = []
+        for _ in range(200):
+            coords = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                 for _ in range(field.degree)) for _ in range(3))
+            rows.append((coords, tuple(field.from_coords(c) for c in coords)))
+        by_key = [coords for coords, _ in sorted(rows, key=lambda r: vec_key(r[1]))]
+        assert by_key == sorted(coords for coords, _ in rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7])
+def test_quadratic_inverse_by_the_norm(d):
+    field = quadratic_field(d)
+    for a, b in ((1, 1), (3, -2), (0, 5), (7, 0), (-4, 9)):
+        x = field.from_coords((Fraction(a, 3), Fraction(b, 2)))
+        assert x * x.inverse() == field.one
+        assert x.inverse().coords == _Oracle(field).inverse(x.coords)
+
+
+def test_inverse_of_zero_raises_in_every_degree():
+    for name, make in _KERNEL_FIELDS.items():
+        with pytest.raises(ZeroDivisionError):
+            make().zero.inverse()
+
+
+def test_zero_divisor_detected_in_degree_four():
+    from ncph.fields import NumberField
+    # (x^2 - 2)(x^2 - 3), unvalidated; x^2 - 2 vanishes at sqrt2
+    field = NumberField((6, 0, -5, 0, 1), (1, Fraction(3, 2)), _validate=False)
+    with pytest.raises(FieldError):
+        field.from_coords((-2, 0, 1, 0)).inverse()
+    x = field.from_coords((1, 1, 0, 0))
+    assert x * x.inverse() == field.one
