@@ -387,7 +387,14 @@ def test_vec_key_sorts_like_rational_coordinates():
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7])
-def test_quadratic_inverse_by_the_norm(d):
+def test_quadratic_inverse_by_the_norm(d, monkeypatch):
+    import ncph.fields
+
+    def no_euclid(*_):
+        raise AssertionError("degree-2 inverse took extended Euclid")
+
+    # degree 2 takes the closed norm form, not extended Euclid
+    monkeypatch.setattr(ncph.fields, "_int_inverse", no_euclid)
     field = quadratic_field(d)
     for a, b in ((1, 1), (3, -2), (0, 5), (7, 0), (-4, 9)):
         x = field.from_coords((Fraction(a, 3), Fraction(b, 2)))
