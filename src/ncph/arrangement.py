@@ -88,7 +88,12 @@ def ray_separation_bound(system: CoxeterSystem,
 
 
 def _floor_sqrt_of_scaled(minimum, q: int) -> int:
-    """Largest integer p with p^2 <= q^2 * minimum (exact comparisons)."""
+    """Largest integer p with p^2 <= q^2 * minimum (exact comparisons).
+    For a rational minimum a/b that is floor(sqrt(q^2 a b) / b), an
+    integer square root."""
+    if minimum.is_rational():
+        m = minimum.as_fraction()
+        return math.isqrt(q * q * m.numerator * m.denominator) // m.denominator
     p = math.isqrt(max(0, int(q * q * float(minimum))))
     bound = minimum * (q * q)
     while (bound - (p + 1) ** 2).sign() >= 0:

@@ -19,6 +19,7 @@ homology embedding, and its rank certifies injectivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import combinations
@@ -131,12 +132,16 @@ class Flat:
     positions in ``system.reflections`` of every hyperplane containing it."""
 
     normals: tuple   # tuple of Vectors, RREF rows
-    key: tuple
     reflections: frozenset[int]
 
     @property
     def codim(self) -> int:
         return len(self.normals)
+
+    @property
+    def key(self) -> tuple:
+        """The rational coordinates of the normals (``vec_key`` per row)."""
+        return tuple(vec_key(r) for r in self.normals)
 
 
 def _rref_rows(field, rows) -> tuple:
@@ -185,8 +190,12 @@ def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
         normals = _rref_rows(system.field, [system.roots[k] for k in ids])
         if len(normals) != len(ids):
             raise EmbedError("a reflection set spans the wrong codimension")
-        flats.append(Flat(normals, tuple(vec_key(r) for r in normals), refs))
-    return sorted(flats, key=lambda f: (f.codim, f.key))
+        flats.append(Flat(normals, refs))
+    # (codim, key) order on integers: every coordinate numerator over one
+    # common denominator, flattened (keys of one codim have one shape)
+    den = math.lcm(*(x.den for f in flats for r in f.normals for x in r))
+    return sorted(flats, key=lambda f: (f.codim, tuple(
+        n * (den // x.den) for r in f.normals for x in r for n in x.num)))
 
 
 def flat_leq(a: Flat, b: Flat) -> bool:

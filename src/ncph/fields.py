@@ -13,10 +13,13 @@ scalar is decided exactly: zero by comparing numerators (with a gcd/Sturm
 fallback that stays sound even for an undetected reducible modulus),
 nonzero sign by bisecting the isolating interval until integer interval
 Horner sums exclude zero.  ``Scalar.coords`` gives the rational
-coordinates for serialization.
+coordinates for serialization.  ``float()`` of a scalar, for display only,
+evaluates the coordinates at theta correctly rounded to a float, found
+once per field, so it does not depend on the sign tests run before it.
 
 All values are immutable after construction; the only mutable state is the
-cached refinement of the isolating interval, which only ever shrinks.
+cached refinement of the isolating interval, which only ever shrinks, and
+the cached float of theta, which never changes once set.
 """
 
 from __future__ import annotations
@@ -247,6 +250,8 @@ class NumberField:
 
     #: bisection steps before the exact zero test kicks in
     zero_test_depth = 64
+    #: theta correctly rounded, once ``theta_float`` has found it
+    _theta_float: Optional[float] = None
 
     def __init__(self, minimal_polynomial, isolating_interval, name=None, _validate=True):
         coeffs = tuple(int(c) for c in minimal_polynomial)
@@ -371,9 +376,9 @@ class NumberField:
         self._scaled_interval = (lo.numerator * (q // lo.denominator),
                                  hi.numerator * (q // hi.denominator), q)
 
-    def refine_interval(self):
-        """One bisection step; keeps theta inside (lo, hi)."""
-        mid = (self._lo + self._hi) / 2
+    def _bisect(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        """The half of (lo, hi) that holds theta."""
+        mid = (lo + hi) / 2
         value = _poly_eval(self.minimal_polynomial, mid)
         if value == 0:
             # validated fields have no rational roots; hitting one means the
@@ -381,14 +386,24 @@ class NumberField:
             raise FieldError(
                 "rational root hit while refining the isolating interval")
         if (1 if value > 0 else -1) != self._sign_at_lo:
-            self._set_interval(self._lo, mid)
-        else:
-            self._set_interval(mid, self._hi)
+            return lo, mid
+        return mid, hi
+
+    def refine_interval(self):
+        """One bisection step; keeps theta inside (lo, hi)."""
+        self._set_interval(*self._bisect(self._lo, self._hi))
 
     def theta_float(self) -> float:
-        while float(self._hi) - float(self._lo) > 1e-14:
-            self.refine_interval()
-        return float((self._lo + self._hi) / 2)
+        """theta correctly rounded to a float.  Bisects a copy of the
+        interval until both ends round to the same float; rounding is
+        monotone, so that float is theta's.  Cached, and the field's own
+        interval is left as the sign tests made it."""
+        if self._theta_float is None:
+            lo, hi = self._lo, self._hi
+            while float(lo) != float(hi):
+                lo, hi = self._bisect(lo, hi)
+            self._theta_float = float(lo)
+        return self._theta_float
 
     # -- exact reduction / zero test ------------------------------------------
 
@@ -741,8 +756,9 @@ class Scalar:
         return self.field.sqrt(self)
 
     def __float__(self):
-        # the same float as summing float(coords[i]) by Horner's rule:
-        # int / int is correctly rounded, reduced or not
+        # the same float as summing float(coords[i]) by Horner's rule
+        # (int / int is correctly rounded, reduced or not) at the correctly
+        # rounded theta, which is fixed per field
         den = self.den
         if self.field.degree == 1:
             return self.num[0] / den

@@ -9,7 +9,14 @@ bold triangle boundaries with their vertices labeled by root position
 
 Floating point is used here for display coordinates only; every decision
 feeding the picture (which chambers are bounded, which facets exist) was
-made upstream in exact arithmetic.
+made upstream in exact arithmetic.  Each distinct ray or vertex becomes a
+unit float vector once, and each arc's angle and sine are taken once, but
+every float operation, in its order, is that of the plain per-point
+formulas (slerp, then projection): tests pin the bytes of the pictures,
+and hoisting work out of a loop must not move a point.  Three-term dot
+products are written out: 0 + x == x for every float, so they round as
+the sums from 0 did, and a zero's sign reaches only 500 + SCALE * x, the
+CUTOFF test or acos, which treat both zeros alike.
 """
 
 from __future__ import annotations
@@ -22,15 +29,19 @@ VIEW = 1000.0
 SCALE = VIEW / 4.4          # hemisphere disk has radius 2
 CUTOFF = -0.15              # drop sphere points too close to the pole
 ARC_STEPS = 192
+# (cos t, sin t) at the ARC_STEPS + 1 sample angles of a great circle
+_CIRCLE = tuple((math.cos(t), math.sin(t))
+                for t in (2 * math.pi * i / ARC_STEPS for i in range(ARC_STEPS + 1)))
 
 
 def _unit(v):
-    norm = math.sqrt(sum(x * x for x in v))
-    return tuple(x / norm for x in v)
+    norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
 
 
-def _fvec(vector):
-    return tuple(float(x) for x in vector)
+def _funit(vector):
+    """The exact vector as a unit float vector."""
+    return _unit([float(x) for x in vector])
 
 
 def _basis_perp(v):
@@ -46,35 +57,20 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+def _projector(v):
+    """Stereographic image of a unit vector, in pixel coordinates."""
+    v0, v1, v2 = v
+    w0, w1, w2 = 2.0 * v0, 2.0 * v1, 2.0 * v2
+    (b10, b11, b12), (b20, b21, b22) = _basis_perp(v)
+    mid = VIEW / 2
 
-
-class _Projector:
-    def __init__(self, v_unit):
-        self.v = v_unit
-        self.b1, self.b2 = _basis_perp(v_unit)
-
-    def height(self, x):
-        return _dot(x, self.v)
-
-    def to_plane(self, x):
-        """Stereographic image of a unit vector, in pixel coordinates."""
-        t = 2.0 / (1.0 + _dot(x, self.v))
-        u = tuple(t * (xi + vi) - 2.0 * vi for xi, vi in zip(x, self.v))
-        px = VIEW / 2 + SCALE * _dot(u, self.b1)
-        py = VIEW / 2 - SCALE * _dot(u, self.b2)
-        return px, py
-
-
-def _slerp(a, b, t):
-    cosw = max(-1.0, min(1.0, _dot(a, b)))
-    w = math.acos(cosw)
-    if w < 1e-9:
-        return a
-    s = math.sin(w)
-    return tuple((math.sin((1 - t) * w) * xa + math.sin(t * w) * xb) / s
-                 for xa, xb in zip(a, b))
+    def to_plane(x):
+        x0, x1, x2 = x
+        t = 2.0 / (1.0 + (x0 * v0 + x1 * v1 + x2 * v2))
+        u0, u1, u2 = t * (x0 + v0) - w0, t * (x1 + v1) - w1, t * (x2 + v2) - w2
+        return (mid + SCALE * (u0 * b10 + u1 * b11 + u2 * b12),
+                mid - SCALE * (u0 * b20 + u1 * b21 + u2 * b22))
+    return to_plane
 
 
 def _path(points, close=False):
@@ -83,15 +79,33 @@ def _path(points, close=False):
     return " ".join(cmds) + (" Z" if close else "")
 
 
-def _arc_points(proj, a, b, steps=48):
-    return [proj.to_plane(_slerp(a, b, i / steps)) for i in range(steps + 1)]
+def _triangle(to_plane, corners, steps=48):
+    """Closed path along the great-circle arcs between consecutive unit
+    corners, steps + 1 slerp points per arc."""
+    points = []
+    for i, a in enumerate(corners):
+        b = corners[(i + 1) % 3]
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        w = math.acos(max(-1.0, min(1.0, a0 * b0 + a1 * b1 + a2 * b2)))
+        if w < 1e-9:
+            points.extend([to_plane(a)] * (steps + 1))
+            continue
+        s = math.sin(w)
+        for k in range(steps + 1):
+            t = k / steps
+            p, q = math.sin((1 - t) * w), math.sin(t * w)
+            points.append(to_plane(((p * a0 + q * b0) / s, (p * a1 + q * b1) / s,
+                                    (p * a2 + q * b2) / s)))
+    return _path(points, close=True)
 
 
 def render_svg(bundle: Bundle) -> str:
     system = bundle.system
     if system.rank != 3:
         raise ValueError("rendering is defined for rank 3 only")
-    proj = _Projector(_unit(_fvec(bundle.generic.vector)))
+    v = _funit(bundle.generic.vector)
+    to_plane = _projector(v)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">',
         "<style>"
@@ -104,25 +118,25 @@ def render_svg(bundle: Bundle) -> str:
     ]
 
     # shaded bounded-slice chambers (drawn first, under everything)
+    rays = {}
     for chamber, bounded in zip(bundle.chamber_list, bundle.bounded_flags):
         if not bounded:
             continue
-        corners = [_unit(_fvec(r)) for r in chamber.rays]
-        points = []
-        for i, corner in enumerate(corners):
-            points.extend(_arc_points(proj, corner, corners[(i + 1) % 3]))
-        parts.append(f'<path class="region" d="{_path(points, close=True)}"/>')
+        for k, ray in zip(chamber.ray_ids, chamber.rays):
+            if k not in rays:
+                rays[k] = _funit(ray)
+        corners = [rays[k] for k in chamber.ray_ids]
+        parts.append(f'<path class="region" d="{_triangle(to_plane, corners)}"/>')
 
     # great circles of the reflection planes
+    v0, v1, v2 = v
     for _, root in system.reflections:
-        normal = _unit(_fvec(root))
-        e1, e2 = _basis_perp(normal)
+        (e10, e11, e12), (e20, e21, e22) = _basis_perp(_funit(root))
         run = []
-        for i in range(ARC_STEPS + 1):
-            t = 2 * math.pi * i / ARC_STEPS
-            x = tuple(math.cos(t) * a + math.sin(t) * b for a, b in zip(e1, e2))
-            if proj.height(x) > CUTOFF:
-                run.append(proj.to_plane(x))
+        for c, s in _CIRCLE:
+            x = (c * e10 + s * e20, c * e11 + s * e21, c * e12 + s * e22)
+            if x[0] * v0 + x[1] * v1 + x[2] * v2 > CUTOFF:
+                run.append(to_plane(x))
             elif len(run) > 1:
                 parts.append(f'<path class="plane" d="{_path(run)}"/>')
                 run = []
@@ -132,17 +146,14 @@ def render_svg(bundle: Bundle) -> str:
             parts.append(f'<path class="plane" d="{_path(run)}"/>')
 
     # bold facet boundaries of the transformed-root complex
-    vertices = bundle.vertex_complex.vertices
+    vertices = [_funit(x) for x in bundle.vertex_complex.vertices]
     for facet in bundle.vertex_complex.complex.facets:
-        corners = [_unit(_fvec(vertices[i])) for i in facet]
-        points = []
-        for i, corner in enumerate(corners):
-            points.extend(_arc_points(proj, corner, corners[(i + 1) % 3]))
-        parts.append(f'<path class="facet" d="{_path(points, close=True)}"/>')
+        corners = [vertices[i] for i in facet]
+        parts.append(f'<path class="facet" d="{_triangle(to_plane, corners)}"/>')
 
     # vertex labels (1-based root positions)
     for i, vertex in enumerate(vertices):
-        px, py = proj.to_plane(_unit(_fvec(vertex)))
+        px, py = to_plane(vertex)
         parts.append(f'<text class="vertex-label" x="{px:.3f}" '
                      f'y="{py - 10:.3f}">{i + 1}</text>')
 

@@ -1,12 +1,16 @@
 """Rays, the separation bound, the generic direction, bounded slices."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from ncph.arrangement import (GenericityError, canonical_ray, generic_vector,
-                              separation_minimum)
+from ncph.arrangement import (GenericityError, _floor_sqrt_of_scaled,
+                              canonical_ray, generic_vector,
+                              ray_separation_bound, separation_minimum)
+from ncph.fields import quadratic_field, rationals
 from ncph.linalg import Matrix, dot, vec_key, vec_neg
 from conftest import bundle_for
 
@@ -166,3 +170,45 @@ def test_bounded_flags_match_the_per_chamber_sign_test(label, rank):
         assert 0 not in signs
         expected.append(all(s > 0 for s in signs))
     assert bundle.bounded_flags == expected
+
+
+def _floor_sqrt_by_signs(minimum, q):
+    """The exact search for the largest p with p^2 <= q^2 * minimum, by
+    Scalar signs from a float guess."""
+    p = math.isqrt(max(0, int(q * q * float(minimum))))
+    bound = minimum * (q * q)
+    while (bound - (p + 1) ** 2).sign() >= 0:
+        p += 1
+    while p > 0 and (bound - p * p).sign() < 0:
+        p -= 1
+    return p
+
+
+def _separation_bound_by_signs(minimum, qmax=64):
+    return max(Fraction(p, q) for q in range(1, qmax + 1)
+               if (p := _floor_sqrt_by_signs(minimum, q)))
+
+
+@pytest.mark.parametrize("label,rank,rational", [
+    ("A", 3, True), ("B", 3, True), ("H", 3, False), ("A", 4, True),
+    ("D", 4, True), ("B", 4, True), ("F", 4, True)])
+def test_separation_floor_matches_the_exact_sign_search(label, rank, rational):
+    system = bundle_for(label, rank).system
+    minimum = separation_minimum(system)
+    assert minimum.is_rational() == rational
+    for q in range(1, 65):
+        assert _floor_sqrt_of_scaled(minimum, q) == _floor_sqrt_by_signs(minimum, q)
+    assert ray_separation_bound(system) == _separation_bound_by_signs(minimum)
+
+
+def test_rational_separation_floor_matches_the_exact_sign_search():
+    rng = random.Random(5)
+    for field in (rationals(), quadratic_field(2)):
+        for _ in range(150):
+            den = rng.choice((1, 2, 3, 7, 12, 10**9 + 7))
+            value = Fraction(rng.randint(1, 10**rng.randint(1, 12)), den)
+            if rng.random() < 0.3:
+                value *= value   # a square: p^2 = q^2 m is reached exactly
+            m = field.from_rational(value)
+            for q in range(1, 65):
+                assert _floor_sqrt_of_scaled(m, q) == _floor_sqrt_by_signs(m, q)

@@ -131,7 +131,7 @@ def test_render_a3_and_h3_run(tmp_path):
     svg = (tmp_path / "A3-projection.svg").read_text()
     assert svg.count('class="facet"') == 5
     assert svg.count('class="region"') == 6
-    # H3 renders without error; its counts are recorded, not asserted here
+    # H3: 21 facet cones (Cat+) and 15 labeled vertices (the positive roots)
     assert main(["render", "H", "3", "--out", str(tmp_path),
                  "--no-cache"]) == 0
     svg = (tmp_path / "H3-projection.svg").read_text()

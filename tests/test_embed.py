@@ -1,6 +1,7 @@
 """The vertex operator, its dot identities, flats, and the incidence matrix."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -293,3 +294,13 @@ def test_intersection_lattice_matches_the_rref_closure(label, rank):
     assert [f.key for f in flats] == [tuple(vec_key(r) for r in normals)
                                       for normals, _ in expected]
     assert [f.reflections for f in flats] == [refs for _, refs in expected]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
+                                        ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
+def test_intersection_lattice_integer_order_is_the_fraction_key_order(label, rank):
+    flats = bundle_for(label, rank).lattice
+    assert len({f.key for f in flats}) == len(flats)   # a total order
+    shuffled = list(flats)
+    random.Random(label + str(rank)).shuffle(shuffled)
+    assert sorted(shuffled, key=lambda f: (f.codim, f.key)) == flats

@@ -416,3 +416,48 @@ def test_zero_divisor_detected_in_degree_four():
         field.from_coords((-2, 0, 1, 0)).inverse()
     x = field.from_coords((1, 1, 0, 0))
     assert x * x.inverse() == field.one
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_theta_float_is_the_correctly_rounded_square_root(d):
+    from ncph.fields import NumberField
+    root = math.isqrt(d)
+    fresh = NumberField((-d, 0, 1), (root, root + 1))
+    assert fresh.theta_float() == math.sqrt(d)
+    assert quadratic_field(d).theta_float() == math.sqrt(d)
+
+
+@pytest.mark.parametrize("name,make", [
+    ("Q(sqrt2)", lambda: quadratic_field(2)),
+    ("Q(sqrt5)", lambda: quadratic_field(5)),
+    ("Q(sqrt2+sqrt5)", lambda: biquadratic_field(2, 5)),
+    ("Q(2cos(pi/20))", lambda: cosine_field(20)),
+])
+def test_theta_float_does_not_depend_on_the_refinement(name, make):
+    from ncph.fields import NumberField
+    catalog = make()
+    assert catalog.name == name
+
+    def fresh():
+        return NumberField(catalog.minimal_polynomial, catalog._initial_interval)
+
+    first = fresh()
+    before = first.interval()
+    theta = first.theta_float()
+    assert first.interval() == before     # bisects a copy
+    x = first.from_coords(range(1, first.degree + 1))
+    value = float(x)
+    for _ in range(40):
+        first.refine_interval()
+    assert first.theta_float() == theta
+    assert float(x) == value
+    refined_first = fresh()
+    for _ in range(40):
+        refined_first.refine_interval()
+    assert refined_first.theta_float() == theta
+    # an interval of width below 2^-90 rounds to theta's float at both ends
+    narrow = fresh()
+    for _ in range(100):
+        narrow.refine_interval()
+    lo, hi = narrow.interval()
+    assert float(lo) == float(hi) == theta

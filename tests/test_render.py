@@ -1,0 +1,52 @@
+"""The rank-3 picture: pinned bytes, independence of earlier exact work,
+and the shaded region count."""
+
+import hashlib
+from math import prod
+
+import pytest
+
+from ncph.cli import main
+from ncph.pipeline import Bundle, RunConfig
+from ncph.render import render_svg
+from ncph.verify import run_suites
+
+# sha256 of `ncph render <TYPE> <RANK> --no-cache [--swap-classes]`; the
+# float operations of the picture are fixed in their order, so any change
+# of these bytes is a change of the picture
+PINNED_SVG = {
+    ("A", "3", False): "afb5f7246af4ca1b5a67563f957dc2176059b660cde46d509633c6c2ce667c34",
+    ("A", "3", True): "38ac03fa480f3331411e8c68992edcca061e7189916c0eb5ce5d5db35e48f0d4",
+    ("B", "3", False): "a600c0775bd22a84e61fef2bd33377266e64a949933be905b4616731f5e42a67",
+    ("B", "3", True): "d80f02ed20bd81b1439516fb1cc4e883398e56016eae645c68ed0cea1b5acd4f",
+    ("H", "3", False): "4dfba464db2e1db0745bf10751973c528388c078435c77e19225d4d9bae01a8f",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label,rank,swap", list(PINNED_SVG))
+def test_cli_svg_bytes_are_pinned(label, rank, swap, tmp_path):
+    args = ["render", label, rank, "--out", str(tmp_path), "--no-cache"]
+    assert main(args + (["--swap-classes"] if swap else [])) == 0
+    svg = (tmp_path / f"{label}{rank}-projection.svg").read_text()
+    assert _sha(svg) == PINNED_SVG[label, rank, swap]
+
+
+def test_h3_svg_is_unchanged_by_the_verify_suites():
+    """float() of a scalar reads theta correctly rounded, fixed per field, so
+    the sign refinements the suites run leave the picture as it was."""
+    bundle = Bundle(RunConfig(type_label="H", rank=3, cache=False))
+    before = render_svg(bundle)
+    assert run_suites(bundle)["passed"]
+    assert render_svg(bundle) == before
+    assert _sha(before) == PINNED_SVG["H", "3", False]
+
+
+def test_h3_shades_one_region_per_bounded_chamber():
+    bundle = Bundle(RunConfig(type_label="H", rank=3, cache=False))
+    svg = render_svg(bundle)
+    exponents = (1, 5, 9)
+    assert svg.count('class="region"') == sum(bundle.bounded_flags) == prod(exponents)
