@@ -11,7 +11,7 @@ are made in exact real algebraic arithmetic.
 from .coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                       NotFiniteTypeError, RealizationError, bipartite_order)
 from .fields import (FieldError, NumberField, Scalar, field_create, rationals,
-                     quadratic_field, biquadratic_field, cosine_field)
+                     quadratic_field, cosine_field)
 from .linalg import Matrix, dot
 from .pipeline import Bundle, RunConfig, build
 from .rootorder import OrderedRoots, RootOrderError, ordered_roots
@@ -22,6 +22,6 @@ __all__ = [
     "Bundle", "BudgetExceededError", "CoxeterDiagram", "CoxeterSystem",
     "FieldError", "Matrix", "NotFiniteTypeError", "NumberField",
     "OrderedRoots", "RealizationError", "RootOrderError", "RunConfig",
-    "Scalar", "bipartite_order", "biquadratic_field", "build", "cosine_field",
+    "Scalar", "bipartite_order", "build", "cosine_field",
     "dot", "field_create", "ordered_roots", "quadratic_field", "rationals",
 ]

@@ -7,8 +7,8 @@ arrangement is W-conjugate to the line of some d_k (a standard parabolic
 flat of corank one), so the rays are the canonical forms of the table
 (first nonzero coordinate scaled to 1); the extreme rays of the chamber
 w C are the images w d_k, so chambers refer to the table by id.  Chambers
-are ordered by (length, matrix) without forming a matrix: every row of
-the matrix of w is a combination of table rays, or a root read by id.
+are ordered by (length, the images of the simple roots), read by root id.
+Vectors are in simple-root coordinates and ``.`` is the system's form.
 
 The separation bound is a certified rational lower bound for the minimal
 nonzero |r . rho| over unit rays r and roots rho; (r . rho)^2 / (r . r) is
@@ -56,9 +56,12 @@ def enumerate_rays(system: CoxeterSystem) -> list[Vector]:
 def separation_minimum(system: CoxeterSystem):
     """min (r.rho)^2 / (r.r) over the rays r and the roots rho with r.rho
     nonzero, taken over the dual rays and the positive roots."""
-    values = [p * p / dot(d, d) for d in system.dual_rays
-              for p in (dot(d, root) for _, root in system.reflections)
-              if p.sign() != 0]
+    values = []
+    for d in system.dual_rays:
+        co, norm = system.lower(d), system.form(d, d)
+        values += [p * p / norm for p in (dot(co, root)
+                                          for _, root in system.reflections)
+                   if p.sign() != 0]
     if not values:
         raise GenericityError("no nonzero ray-root pairing found")
     return min(values)
@@ -123,15 +126,16 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
     for t in tau:
         v = tuple(x + y * weight for x, y in zip(v, t))
         weight *= a
-    if dot(v, v).sign() <= 0:
+    co = system.lower(v)
+    if dot(v, co).sign() <= 0:
         raise GenericityError("slice direction has nonpositive norm")
     if rays is not None:
         lam2 = lam * lam
         for ray in rays:
-            p = dot(ray, v)
+            p = dot(ray, co)
             if p.sign() == 0:
                 raise GenericityError("a ray lies on the slice hyperplane")
-            slack = p * p - dot(ray, ray) * lam2
+            slack = p * p - system.form(ray, ray) * lam2
             if slack.sign() < 0:
                 raise GenericityError("separation inequality failed for a ray")
     return GenericVector(v, lam, a)
@@ -153,15 +157,13 @@ class Chamber:
 
 
 def chambers(system: CoxeterSystem) -> list[Chamber]:
-    """One chamber per group element, in deterministic (length, matrix) order.
+    """One chamber per group element, in ``system.element_sort_key`` order.
 
     The extreme rays of w C are the images w d_k of the dual rays d_k of the
     fundamental chamber C, so all |W| n of them are drawn from the system's
     table of orbit rays.  The ray ids of each element come from a
     breadth-first search over left multiplication by the simple
-    reflections, ids(s w) = s(ids(w)).  The order is that of
-    ``system.element_sort_key``, with the matrix rows read off the same ids
-    (see ``_matrix_keys``).
+    reflections, ids(s w) = s(ids(w)).
     """
     table, act = system.orbit_rays
     simple = [system.index_of[g] for g in system.simple_perms]
@@ -173,73 +175,22 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
             if sw not in ids:
                 ids[sw] = tuple(row[k] for k in ids[w])
                 queue.append(sw)
-    keys = _matrix_keys(system, ids)
     return [Chamber(w, ids[w], [table[k] for k in ids[w]])
-            for w in sorted(range(system.order), key=keys.__getitem__)]
+            for w in sorted(range(system.order), key=system.element_sort_key)]
 
 
-def _matrix_keys(system: CoxeterSystem, ids: dict[int, tuple[int, ...]]
-                 ) -> list[tuple]:
-    """For every element w, a key that sorts like ``element_sort_key(w)``,
-    (length, ``matrix(w).key()``), without the matrices.
-
-    Row i of the orthogonal matrix of w is w^-1 e_i.  The dual rays satisfy
-    d_k . a_l = delta_kl, so e_i = sum_k (a_k)_i d_k and row i is
-    sum_k (a_k)_i w^-1 d_k, where w^-1 d_k is the orbit ray at
-    ``ids[w^-1][k]``; each scaled ray, and each distinct row with its key,
-    is formed once.  A row whose e_i is exactly the simple root a_i is the
-    root w^-1 a_i: it is read by id and stands in the key as the rank of
-    its ``vec_key`` among the roots' keys.
-    """
-    table = system.orbit_rays[0]
-    n, field = system.rank, system.field
-    simple = system.simple_roots
-    unit = [tuple(field.one if j == i else field.zero for j in range(n)) == a
-            for i, a in enumerate(simple)]
-    by_key = sorted(range(len(system.roots)),
-                    key=lambda k: vec_key(system.roots[k]))
-    root_rank = [0] * len(by_key)
-    for r, k in enumerate(by_key):
-        root_rank[k] = r
-    terms = [[(k, simple[k][i]) for k in range(n) if not simple[k][i].is_zero()]
-             for i in range(n)]
-    scaled: dict[tuple[int, int, int], Vector] = {}   # (i, k, id) -> (a_k)_i ray
-    row_keys: dict[tuple[int, ...], tuple] = {}   # (i, ray ids) -> row key
-
-    def part(i: int, k: int, ray: int, coeff) -> Vector:
-        v = scaled.get((i, k, ray))
-        if v is None:
-            v = scaled[i, k, ray] = vec_scale(table[ray], coeff)
-        return v
-
-    def row(i: int, rays: tuple[int, ...]) -> tuple:
-        ids = (i, *(rays[k] for k, _ in terms[i]))
-        key = row_keys.get(ids)
-        if key is None:
-            parts = [part(i, k, rays[k], coeff) for k, coeff in terms[i]]
-            key = row_keys[ids] = vec_key(reduce(vec_add, parts))
-        return key
-
-    keys = []
-    for w in range(system.order):
-        u = system.inverses[w]
-        perm, rays = system.perms[u], ids[u]
-        keys.append((system.lengths[w],
-                     tuple(root_rank[perm[i]] if unit[i] else row(i, rays)
-                           for i in range(n))))
-    return keys
-
-
-def bounded_slice(chamber_list: list[Chamber], v: Vector) -> list[bool]:
+def bounded_slice(system: CoxeterSystem, chamber_list: list[Chamber],
+                  v: Vector) -> list[bool]:
     """For each chamber, whether its slice by the affine hyperplane through
     v normal to v is nonempty and bounded: v must be positive on every
     extreme ray of the closed chamber.  Each distinct ray is decided once.
     """
+    co = system.lower(v)
     positive: dict[int, bool] = {}
     for chamber in chamber_list:
         for k, ray in zip(chamber.ray_ids, chamber.rays):
             if k not in positive:
-                s = dot(ray, v).sign()
+                s = dot(ray, co).sign()
                 if s == 0:
                     raise GenericityError(
                         "chamber ray orthogonal to the slice direction")

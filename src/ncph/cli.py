@@ -5,7 +5,7 @@
     ncph render <TYPE> <RANK> [options]            (rank 3 only)
     ncph export <ncp|xc|lattice|embed> <TYPE> <RANK> [options]
 
-TYPE is one of A B C D F G H I (for type I the second argument is the
+TYPE is one of A B C D E F G H I (for type I the second argument is the
 dihedral parameter m), or pass --matrix FILE with an explicit Coxeter
 matrix as a JSON list of rows.  Exit codes: 0 ok, 1 invariant failure,
 2 usage or construction error, 3 budget exceeded.
@@ -29,7 +29,7 @@ from .verify import SUITES, run_suites
 def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
     if with_group:
         parser.add_argument("type", nargs="?", default=None,
-                            help="group type letter (A B C D F G H I)")
+                            help="group type letter (A B C D E F G H I)")
         parser.add_argument("rank", nargs="?", type=int, default=None,
                             help="rank (or m for type I)")
     parser.add_argument("--matrix", metavar="FILE",
@@ -42,7 +42,9 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
     parser.add_argument("--simplex-budget", type=int, default=5_000_000,
                         metavar="N")
     parser.add_argument("--swap-classes", action="store_true",
-                        help="swap the two color classes of the bipartite order")
+                        help="swap the two color classes of the bipartite "
+                             "order (a conjugate rotation; the field is the "
+                             "same)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk system cache")
 
@@ -80,7 +82,7 @@ def cmd_info(args) -> int:
     print(f"|T| = nh/2:  {len(system.reflections)}")
     print(f"bipartite s: {system.s}  (node order {tuple(p + 1 for p in system.perm)})")
     print(f"field:       {system.field.name}, degree {system.field.degree}")
-    print("root order:")
+    print("root order (simple-root coordinates):")
     for i, rho in enumerate(ordered.roots):
         approx = ", ".join(f"{float(x):+.6f}" for x in rho)
         exact = [[f"{c.numerator}/{c.denominator}" for c in x.coords] for x in rho]

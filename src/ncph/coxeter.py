@@ -1,30 +1,35 @@
 """Finite Coxeter systems realized exactly.
 
-A diagram is a Coxeter matrix; the system realizes its simple roots as unit
-inward normals in R^n over a number field chosen from a small catalog, with
-the simple roots permuted into a bipartite order (an orthonormal block
-followed by another orthonormal block).  The rotation c is the product of
-the simple reflections in that order.  The group acts on the nh roots, and
-each element is stored as a permutation of root ids (the permutation model
-of CHEVIE/GAP): the group is generated breadth-first on integer tuples, and
-products, inverses and the absolute order never touch the number field.
-Reflection length is the fixed-space codimension, a class function, so it
-costs one exact rank per conjugacy class; it is cross-checked elsewhere
-against a breadth-first word oracle.  The exact orthogonal matrix of an
-element is built only on demand.
+A diagram is a Coxeter matrix.  The system realizes it by Tits' geometric
+representation (Humphreys, Reflection Groups and Coxeter Groups, 5.3): the
+simple roots, permuted into a bipartite order (two classes of pairwise
+orthogonal roots), are the standard basis, and geometry is the unit
+W-invariant form B_ij = -cos(pi/m_ij), exact over the field its entries
+generate: Q for types A, D and E, Q(sqrt2) for B and F, Q(sqrt5) for H,
+Q(sqrt3) for G2 and Q(2cos(pi/m)) for I2(m).  Nothing needs a square root,
+and W is finite exactly when B is positive definite.  The rotation c is
+the product of the simple reflections in bipartite order.  The group acts
+on the nh roots, and each element is stored as a permutation of root ids
+(the permutation model of CHEVIE/GAP): the group is generated
+breadth-first on integer tuples, and products, inverses and the absolute
+order never touch the number field.  Reflection length is the fixed-space
+codimension, a class function, so it costs one exact rank per conjugacy
+class; it is cross-checked elsewhere against a breadth-first word oracle.
+The exact matrix of an element, whose columns are the images of the simple
+roots, is built only on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Optional
 
-from .fields import (FieldError, NumberField, Scalar, biquadratic_field,
-                     cosine_field, quadratic_field, rationals)
-from .linalg import Matrix, Vector, dot, vec_neg, vec_sub
+from .fields import (NumberField, Scalar, cos_pi_over, cosine_field,
+                     quadratic_field, rationals)
+from .linalg import Matrix, Vector, dot, vec_add, vec_key, vec_neg, vec_sub
 
 DEFAULT_GROUP_CAP = 2_000_000
 
@@ -34,7 +39,7 @@ class NotFiniteTypeError(ValueError):
 
 
 class RealizationError(ValueError):
-    """No catalog field realizes the simple roots of this diagram."""
+    """The realized root system fails a structural check."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -111,6 +116,15 @@ class CoxeterDiagram:
             rows[-1][-1] = 1
             rows[rank - 3][rank - 1] = rows[rank - 1][rank - 3] = 3
             return CoxeterDiagram.from_matrix(rows, f"D{rank}")
+        if letter == "E":
+            # E7 and E8 outgrow the default group cap
+            if rank != 6:
+                raise ValueError("type E is supported in rank 6")
+            # Bourbaki numbering: the path 1-3-4-5-6 with node 2 joined to 4
+            rows = [list(r) for r in _path_matrix(rank, {})]
+            rows[0][1] = rows[1][0] = rows[1][2] = rows[2][1] = 2
+            rows[0][2] = rows[2][0] = rows[1][3] = rows[3][1] = 3
+            return CoxeterDiagram.from_matrix(rows, f"E{rank}")
         if letter == "F":
             if rank != 4:
                 raise ValueError("type F has rank 4")
@@ -161,142 +175,55 @@ def bipartite_order(diagram: CoxeterDiagram, swap: bool = False) -> tuple[tuple[
 
 
 # ---------------------------------------------------------------------------
-# field ladder and root realization
+# the Gram field and the form
 # ---------------------------------------------------------------------------
 
-def _candidate_fields(labels: set[int]) -> Iterator[NumberField]:
-    needed = {m for m in labels if m not in (1, 2, 3)}
+#: labels m whose cos(pi/m) generates Q(sqrt d), with that d
+_QUADRATIC = {4: 2, 5: 5, 6: 3}
+
+
+def gram_field(labels) -> NumberField:
+    """The field generated by the Gram entries -cos(pi/m) for the labels m
+    of a diagram: Q when every label is 2 or 3, Q(sqrt d) for one label 4,
+    5 or 6 beside them, and otherwise Q(2 cos(pi/L)) for the lcm L of the
+    labels above 3, which holds cos(pi/m) for every m dividing L (an
+    irreducible finite diagram has at most one label above 3)."""
+    needed = {m for m in labels if m > 3}
     if not needed:
-        yield rationals()
-    for d, cover in ((2, {4}), (3, {6}), (5, {5})):
-        if needed <= cover:
-            yield quadratic_field(d)
-    for (a, b), cover in (((2, 3), {4, 6}), ((2, 5), {4, 5}), ((3, 5), {5, 6})):
-        if needed <= cover:
-            yield biquadratic_field(a, b)
-    base = math.lcm(*needed) if needed else 1
-    seen = set()
-    for mult in (1, 2, 4):
-        k = base * mult
-        if k % 2:
-            k *= 2
-        if k < 4 or k in seen:
-            continue
-        seen.add(k)
-        field = cosine_field(k)
-        if field.degree <= 16:
-            yield field
+        return rationals()
+    if len(needed) == 1 and needed <= _QUADRATIC.keys():
+        return quadratic_field(_QUADRATIC[needed.pop()])
+    return cosine_field(math.lcm(*needed))
 
 
-class _SqrtMissing(Exception):
-    pass
+def gram_matrix(field: NumberField, diagram: CoxeterDiagram,
+                perm: tuple[int, ...]) -> Matrix:
+    """The unit W-invariant form B_ij = -cos(pi/m_ij) on the simple roots,
+    in the permuted order (Tits' geometric representation)."""
+    return Matrix(field, [[-cos_pi_over(field, diagram.matrix[i][j])
+                           for j in perm] for i in perm])
 
 
-def _cholesky(field: NumberField, b_rows: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Lower-triangular L with L L^T = B; pivots must be positive."""
-    k = len(b_rows)
-    lower = [[field.zero] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i):
-            acc = b_rows[i][j]
-            for t in range(j):
-                acc = acc - lower[i][t] * lower[j][t]
-            lower[i][j] = acc / lower[j][j]
-        pivot = b_rows[i][i]
-        for t in range(i):
-            pivot = pivot - lower[i][t] * lower[i][t]
-        s = pivot.sign()
-        if s <= 0:
+def _check_positive_definite(gram: Matrix):
+    """W is finite exactly when B is positive definite, that is when every
+    pivot of the exact LDL^T factorization of B (symmetric elimination
+    without row exchanges) is positive."""
+    rows = [list(r) for r in gram.rows]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot.sign() <= 0:
             raise NotFiniteTypeError("Gram matrix is not positive definite")
-        root = field.sqrt(pivot)
-        if root is None:
-            raise _SqrtMissing
-        lower[i][i] = root
-    return lower
-
-
-def realize_roots(diagram: CoxeterDiagram, perm: tuple[int, ...], s: int
-                  ) -> tuple[NumberField, list[Vector]]:
-    """Unit simple roots (in the permuted order) over the smallest catalog
-    field that supports the construction.
-    """
-    n = diagram.rank
-    labels = {diagram.matrix[i][j] for i in range(n) for j in range(i + 1, n)}
-    last_err: Optional[Exception] = None
-    for field in _candidate_fields(labels):
-        try:
-            gram = _gram(field, diagram, perm)
-        except FieldError as err:
-            last_err = err
-            continue
-        try:
-            b_rows = [[gram[s + i][s + j] -
-                       _sum_products(gram, s, s + i, s + j, field)
-                       for j in range(n - s)] for i in range(n - s)]
-            lower = _cholesky(field, b_rows)
-        except _SqrtMissing:
-            last_err = RealizationError(
-                f"{field.name} lacks a needed square root")
-            continue
-        roots = []
-        for i in range(s):
-            roots.append(tuple(field.one if j == i else field.zero
-                               for j in range(n)))
-        for i in range(n - s):
-            coords = [gram[t][s + i] for t in range(s)]
-            coords += [lower[i][t] for t in range(n - s)]
-            roots.append(tuple(coords))
-        _check_gram(roots, gram)
-        return field, roots
-    raise (last_err or RealizationError("field catalog exhausted"))
-
-
-def _gram(field: NumberField, diagram: CoxeterDiagram,
-          perm: tuple[int, ...]) -> list[list[Scalar]]:
-    """The Gram matrix -cos(pi/m_ij) of the unit simple roots, permuted."""
-    n = diagram.rank
-    return [[_gram_entry(field, diagram.matrix[perm[i]][perm[j]])
-             for j in range(n)] for i in range(n)]
-
-
-def _gram_entry(field: NumberField, m: int) -> Scalar:
-    if m == 1:
-        return field.one
-    from .fields import cos_pi_over
-    return -cos_pi_over(field, m)
-
-
-def _sum_products(gram, s, a, b, field) -> Scalar:
-    acc = field.zero
-    for t in range(s):
-        acc = acc + gram[t][a] * gram[t][b]
-    return acc
-
-
-def _check_gram(roots, gram):
-    for i, u in enumerate(roots):
-        for j, v in enumerate(roots):
-            if dot(u, v) != gram[i][j]:
-                raise RealizationError("realized roots fail the Gram identities")
+        inverse = pivot.inverse()
+        for row in rows[k + 1:]:
+            f = row[k] * inverse
+            if not f.is_zero():
+                for j in range(k + 1, len(row)):
+                    row[j] = row[j] - f * pivot_row[j]
 
 
 # ---------------------------------------------------------------------------
 # the system
 # ---------------------------------------------------------------------------
-
-def reflection_matrix(field: NumberField, root: Vector) -> Matrix:
-    """Orthogonal reflection in the hyperplane normal to a unit root."""
-    n = len(root)
-    rows = [[(field.one if i == j else field.zero) - 2 * root[i] * root[j]
-             for j in range(n)] for i in range(n)]
-    return Matrix(field, rows)
-
-
-def _reflect(v: Vector, root: Vector) -> Vector:
-    """v reflected in the hyperplane normal to a unit root."""
-    f = 2 * dot(v, root)
-    return tuple(x - f * y for x, y in zip(v, root))
-
 
 def closure(seeds, images) -> list:
     """The seeds and everything reachable from them under ``images``, which
@@ -311,22 +238,23 @@ def closure(seeds, images) -> list:
     return found
 
 
-def simple_orbit(seeds: list[Vector], simple_roots: list[Vector]
+def simple_orbit(seeds: list[Vector], reflection_rows: list[Vector]
                  ) -> tuple[list[Vector], dict[tuple, int], list[tuple[int, ...]]]:
     """The union of the W-orbits of distinct seed vectors, closed
-    breadth-first under the reflections in the unit simple roots (ids
-    ``0..len(seeds)-1`` are the seeds), the id of each vector (keyed by
-    the vector itself), and each simple reflection as a permutation of the
-    ids."""
+    breadth-first under the simple reflections (ids ``0..len(seeds)-1`` are
+    the seeds), the id of each vector (keyed by the vector itself), and
+    each simple reflection as a permutation of the ids.  In simple-root
+    coordinates s_i changes coordinate i alone, to ``dot(reflection_rows[i],
+    v)``."""
     vectors = list(seeds)
     ids = {v: k for k, v in enumerate(vectors)}
-    images: list[list[int]] = [[] for _ in simple_roots]
+    images: list[list[int]] = [[] for _ in reflection_rows]
     head = 0
     while head < len(vectors):
         v = vectors[head]
         head += 1
-        for a, row in zip(simple_roots, images):
-            image = _reflect(v, a)
+        for i, (r, row) in enumerate(zip(reflection_rows, images)):
+            image = v[:i] + (dot(r, v),) + v[i + 1:]
             k = ids.get(image)
             if k is None:
                 k = ids[image] = len(vectors)
@@ -372,61 +300,44 @@ def _order(w: tuple[int, ...]) -> int:
 class CoxeterSystem:
     """A realized finite Coxeter system with its generated group.
 
-    The group acts faithfully on the root system: element ``i`` is the
-    permutation ``perms[i]`` of root ids, ``perms[i][k]`` being the id of
+    Vectors are in simple-root coordinates (simple root i is e_i) over the
+    Gram field, and geometry is the form u^T B v (:meth:`form`).  The group
+    acts faithfully on the root system: element ``i`` is the permutation
+    ``perms[i]`` of root ids, ``perms[i][k]`` being the id of
     w_i(``roots[k]``); ids ``0..n-1`` are the simple roots and
     ``negative[k]`` is the id of -``roots[k]``.  Products, inverses,
     conjugation and the absolute order are integer work; exact matrices are
-    built on demand by :meth:`matrix`.
+    built on demand by :meth:`matrix`.  ``lengths``, when given (as read
+    back from a cache), replaces the per-class rank computation and must
+    have one entry per element.
     """
 
     def __init__(self, diagram: CoxeterDiagram, swap_classes: bool = False,
-                 group_cap: int = DEFAULT_GROUP_CAP):
-        perm, s = bipartite_order(diagram, swap=swap_classes)
-        field, simple_roots = realize_roots(diagram, perm, s)
-        self._build(diagram, perm, s, field, simple_roots, group_cap, None)
-
-    @classmethod
-    def from_realization(cls, diagram: CoxeterDiagram, swap_classes: bool,
-                         field: NumberField, simple_roots: list[Vector],
-                         group_cap: int = DEFAULT_GROUP_CAP,
-                         lengths: Optional[list[int]] = None) -> "CoxeterSystem":
-        """The system on given unit simple roots (in bipartite order), such
-        as ones read back from a cache.  The roots must satisfy the Gram
-        identities of the diagram; ``lengths``, when given, replaces the
-        per-class rank computation and must have one entry per element.
-        """
-        perm, s = bipartite_order(diagram, swap=swap_classes)
-        if len(simple_roots) != diagram.rank:
-            raise RealizationError("wrong number of simple roots")
-        _check_gram(simple_roots, _gram(field, diagram, perm))
-        system = cls.__new__(cls)
-        system._build(diagram, perm, s, field, list(simple_roots), group_cap,
-                      lengths)
-        return system
-
-    # -- construction helpers -------------------------------------------------
-
-    def _build(self, diagram, perm, s, field, simple_roots, group_cap, lengths):
+                 group_cap: int = DEFAULT_GROUP_CAP,
+                 lengths: Optional[list[int]] = None):
         self.diagram = diagram
-        self.rank = diagram.rank
-        self.perm, self.s = perm, s
-        self.field, self.simple_roots = field, simple_roots
-        self.simple_reflections = [reflection_matrix(field, a)
-                                   for a in simple_roots]
+        self.rank = n = diagram.rank
+        self.perm, self.s = bipartite_order(diagram, swap=swap_classes)
+        self.field = field = gram_field(
+            {m for row in diagram.matrix for m in row})
+        self.gram = gram_matrix(field, diagram, self.perm)
+        _check_positive_definite(self.gram)
+        self.identity = Matrix.identity(field, n)
+        self.simple_roots = list(self.identity.rows)
+        self.simple_reflections = [self.reflection_matrix(a)
+                                   for a in self.simple_roots]
+        # s_i(x) = x - 2 (B x)_i e_i changes coordinate i alone, to the
+        # dot product of x with row i of its matrix
+        self._reflection_rows = [r.rows[i] for i, r in
+                                 enumerate(self.simple_reflections)]
         c = self.simple_reflections[0]
         for r in self.simple_reflections[1:]:
             c = c * r
         self.coxeter_element = c
-        self.identity = Matrix.identity(field, self.rank)
-
-        inv = Matrix(field, simple_roots).inverse()
-        # A^-1, where A has the simple roots as columns; its rows are the
-        # extreme rays of the fundamental chamber
-        self._simple_inverse = inv.transpose()
-        self.dual_rays = list(self._simple_inverse.rows)
-        ones = tuple(field.one for _ in range(self.rank))
-        self.interior_point = inv.apply(ones)
+        # d_k . a_l = delta_kl makes the dual rays the columns of B^-1,
+        # which is symmetric
+        self.dual_rays = list(self.gram.inverse().rows)
+        self.interior_point = reduce(vec_add, self.dual_rays)
         self._matrices: dict[int, Matrix] = {}
 
         self._close_roots()
@@ -439,11 +350,33 @@ class CoxeterSystem:
         else:
             raise ValueError(f"{len(lengths)} lengths for {self.order} elements")
 
+    # -- the form --------------------------------------------------------------
+
+    def lower(self, v: Vector) -> Vector:
+        """B v, so that u . v is ``dot(u, lower(v))``: a loop that pairs
+        many vectors with one v lowers it once."""
+        return tuple(dot(row, v) for row in self.gram.rows)
+
+    def form(self, u: Vector, v: Vector) -> Scalar:
+        """The W-invariant inner product u^T B v."""
+        return dot(u, self.lower(v))
+
+    def reflection_matrix(self, root: Vector) -> Matrix:
+        """The reflection x -> x - 2 (rho . x) rho in a root rho (every
+        root has rho . rho = 1): I - 2 rho (B rho)^T."""
+        one, zero = self.field.one, self.field.zero
+        co = self.lower(root)
+        return Matrix(self.field, [
+            [(one if i == j else zero) - 2 * r * c for j, c in enumerate(co)]
+            for i, r in enumerate(root)])
+
+    # -- construction helpers -------------------------------------------------
+
     def _close_roots(self):
         """All roots, as the orbit of the simple roots under the simple
         reflections, and each simple reflection as a permutation of them."""
-        roots, root_id, self.simple_perms = simple_orbit(self.simple_roots,
-                                                         self.simple_roots)
+        roots, root_id, self.simple_perms = simple_orbit(
+            self.simple_roots, self._reflection_rows)
         self.roots = roots
         self.root_id = root_id
         self.negative = [root_id[vec_neg(v)] for v in roots]
@@ -452,7 +385,7 @@ class CoxeterSystem:
     def orbit_rays(self) -> tuple[list[Vector], list[tuple[int, ...]]]:
         """The W-orbits of the dual rays d_k (ids 0..n-1), built on first
         use, and each simple reflection as a permutation of their ids."""
-        rays, _, perms = simple_orbit(self.dual_rays, self.simple_roots)
+        rays, _, perms = simple_orbit(self.dual_rays, self._reflection_rows)
         return rays, perms
 
     def _generate_group(self, cap: int):
@@ -512,7 +445,7 @@ class CoxeterSystem:
             self.reflections.append((i, self.roots[k]))
 
     def _is_positive(self, root: Vector) -> bool:
-        side = dot(root, self.interior_point).sign()
+        side = self.form(root, self.interior_point).sign()
         if side == 0:
             raise RealizationError("root orthogonal to the chamber interior")
         return side > 0
@@ -521,8 +454,7 @@ class CoxeterSystem:
         """Reflection length l(w) = codim Fix(w) = rank(w - I), a class
         function: one exact rank per conjugacy class, spread over the class
         by conjugating with the simple reflections.  The vectors w(a_j) - a_j
-        are the columns of (w - I) A, where A has the simple roots as
-        columns and is invertible."""
+        are the columns of w - I in simple-root coordinates."""
         lengths = [-1] * self.order
         for start, w in enumerate(self.perms):
             if lengths[start] >= 0:
@@ -557,18 +489,30 @@ class CoxeterSystem:
         return self._reflection_of_root_id[self.root_id[root]]
 
     def matrix(self, i: int) -> Matrix:
-        """The orthogonal matrix of element i: R A^-1, where the columns of
-        A are the simple roots and those of R their images under w_i."""
+        """The matrix of element i: its columns are the images w_i(a_j) of
+        the simple roots."""
         m = self._matrices.get(i)
         if m is None:
             w = self.perms[i]
-            images = Matrix(self.field, [self.roots[w[j]]
-                                         for j in range(self.rank)])
-            m = self._matrices[i] = images.transpose() * self._simple_inverse
+            m = self._matrices[i] = Matrix(
+                self.field, [self.roots[w[j]] for j in range(self.rank)]
+            ).transpose()
         return m
 
+    @cached_property
+    def _root_rank(self) -> list[int]:
+        """The place of each root id in the ``vec_key`` order of the roots."""
+        ranks = [0] * len(self.roots)
+        for r, k in enumerate(sorted(range(len(self.roots)),
+                                     key=lambda k: vec_key(self.roots[k]))):
+            ranks[k] = r
+        return ranks
+
     def element_sort_key(self, i: int):
-        return (self.lengths[i], self.matrix(i).key())
+        """(length, the keys of the columns w_i(a_1), ..., w_i(a_n) of its
+        matrix), read off root ids: the columns determine the element."""
+        w, rank = self.perms[i], self._root_rank
+        return (self.lengths[i], tuple(rank[w[j]] for j in range(self.rank)))
 
     def bfs_reflection_lengths(self) -> list[int]:
         """Independent oracle: minimal word length over all reflections."""

@@ -51,25 +51,28 @@ def vertex_operator(system: CoxeterSystem) -> Matrix:
 @dataclass
 class VertexComplex:
     """Vertices 2(I-c)^(-1) rho_i with the facet combinatorics of the root
-    complex (positions are shared 0-based root indices), and the ordered
-    positive roots rho_j they pair with."""
+    complex (positions are shared 0-based root indices), the ordered
+    positive roots rho_j they pair with, and those roots lowered by the
+    form (``system.lower``)."""
 
     operator: Matrix
     vertices: list[Vector]
     complex: SimplicialComplex
     roots: list[Vector]
+    covectors: list[Vector]
 
     @cached_property
     def pairing(self) -> list[list[Scalar]]:
         """P[i][j] = v_i . rho_j, built on first use."""
-        return [[dot(v, rho) for rho in self.roots] for v in self.vertices]
+        return [[dot(v, co) for co in self.covectors] for v in self.vertices]
 
 
 def vertex_complex(system: CoxeterSystem, ordered: OrderedRoots,
                    xc: SimplicialComplex) -> VertexComplex:
     op = vertex_operator(system)
-    return VertexComplex(op, [op.apply(rho) for rho in ordered.roots], xc,
-                         ordered.roots)
+    roots = ordered.roots
+    return VertexComplex(op, [op.apply(rho) for rho in roots], xc, roots,
+                         [system.lower(rho) for rho in roots])
 
 
 @dataclass
@@ -105,20 +108,22 @@ def dot_property_report(system: CoxeterSystem, ordered: OrderedRoots,
                 if not pairing[i + t][i].is_zero():
                     report.nonzero_band.append((i + t, i))
     if v is not None:
+        co = system.lower(v)
         for i in range(count):
-            if dot(vc.vertices[i], v).sign() <= 0:
+            if dot(vc.vertices[i], co).sign() <= 0:
                 report.nonpositive_slice.append(i)
     return report
 
 
-def project_to_slice(x: Vector, v: Vector) -> Vector:
+def project_to_slice(system: CoxeterSystem, x: Vector, v: Vector) -> Vector:
     """Central projection of x onto the affine hyperplane through v normal
     to v: the positive rescaling of x with v . (scaled x) = v . v.
     """
-    t = dot(v, x)
+    co = system.lower(v)
+    t = dot(x, co)
     if t.sign() <= 0:
         raise EmbedError("projection needs v . x > 0")
-    return vec_scale(x, dot(v, v) / t)
+    return vec_scale(x, dot(v, co) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +133,10 @@ def project_to_slice(x: Vector, v: Vector) -> Vector:
 @dataclass(frozen=True)
 class Flat:
     """An intersection of reflection hyperplanes, canonically the reduced
-    echelon basis of the span of its defining normals, together with the
-    positions in ``system.reflections`` of every hyperplane containing it."""
+    echelon basis of the span of its defining normals (roots, in
+    simple-root coordinates; the flat is their orthogonal complement under
+    the form), together with the positions in ``system.reflections`` of
+    every hyperplane containing it."""
 
     normals: tuple   # tuple of Vectors, RREF rows
     reflections: frozenset[int]
@@ -224,17 +231,20 @@ def intersection_lattice_proper_betti(system: CoxeterSystem,
 def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
                         flats: Optional[list[Flat]] = None) -> bool:
     """The canonical rays are exactly the codim n-1 flats; ``flats`` is the
-    intersection lattice when the caller has built it."""
+    intersection lattice when the caller has built it.  The line of normals
+    N is {x : N B x = 0}, the image under B^-1 (whose rows are the dual
+    rays) of the kernel of N."""
     if flats is None:
         flats = intersection_lattice(system)
     lines = [f for f in flats if f.codim == system.rank - 1]
+    gram_inverse = Matrix(system.field, system.dual_rays)
     ray_keys = set(rays)
     line_keys = set()
     for f in lines:
         kernel = Matrix(system.field, list(f.normals)).kernel()
         if len(kernel) != 1:
             return False
-        line_keys.add(canonical_ray(kernel[0]))
+        line_keys.add(canonical_ray(gram_inverse.apply(kernel[0])))
     return ray_keys == line_keys
 
 

@@ -1,7 +1,9 @@
 """JSON export payloads with stable field names and byte-stable encoding.
 
 Scalars are rational-coordinate arrays in the field's power basis; the
-field itself is described once in a header block.  Root/vertex indices are
+field itself is described once in a header block, with the Gram matrix B
+of the simple roots (``form``): vectors are in simple-root coordinates,
+and u . v = u^T B v.  Root/vertex indices are
 1-based (matching the usual numbering of the root sequence and the labels
 in the rendered picture); element and chamber ids are 0-based positions in
 the listed order.
@@ -19,6 +21,7 @@ from .pipeline import Bundle
 def _header(bundle: Bundle) -> dict:
     return {
         "field": bundle.system.field.describe(),
+        "form": serialize.matrix(bundle.system.gram),
         "group": bundle.system.diagram.label,
         "rank": bundle.system.rank,
         "indexBase": 1,

@@ -25,7 +25,6 @@ the cached float of theta, which never changes once set.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -184,19 +183,6 @@ def _monic_quartic_splits(int_coeffs) -> bool:
     return False
 
 
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root of a rational, or None."""
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # extended Euclid on integer polynomials
 # ---------------------------------------------------------------------------
@@ -299,8 +285,6 @@ class NumberField:
         self.zero = Scalar(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
         self.theta = Scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
-        #: known (u, sqrt(u)) pairs used by the in-field square-root search
-        self.sqrt_units: list[tuple[Scalar, Scalar]] = []
         #: exact values of cos(pi/m) for the m this field can express
         self.cos_table: dict[int, Scalar] = {}
         self._install_rational_cosines()
@@ -437,84 +421,10 @@ class NumberField:
         lo, hi = self._initial_interval
         return _count_roots(g, lo, hi) > 0
 
-    # -- square roots -----------------------------------------------------------
-
-    def sqrt(self, x: "Scalar") -> Optional["Scalar"]:
-        """A y in the field with y*y == x and y >= 0, or None if the search
-        fails.  Complete for rational x and for degree-2 fields; elsewhere it
-        falls back to the field's table of known square pairs.
-        """
-        x = self.coerce(x)
-        s = x.sign()
-        if s == 0:
-            return self.zero
-        if s < 0:
-            return None
-        if x.is_rational():
-            r = rational_sqrt(x.as_fraction())
-            if r is not None:
-                return self.from_rational(r)
-        if self.degree == 2:
-            y = self._sqrt_quadratic(x)
-            if y is not None:
-                return y
-        for u, su in self.sqrt_units:
-            t = x / u
-            if t.is_rational():
-                r = rational_sqrt(t.as_fraction())
-                if r is not None:
-                    y = su * r
-                    if y.sign() < 0:
-                        y = -y
-                    return y
-        return None
-
-    def _sqrt_quadratic(self, x: "Scalar") -> Optional["Scalar"]:
-        # theta^2 = e + f*theta; solve (a + b*theta)^2 = x0 + x1*theta
-        e, f = (Fraction(c, self._table_den) for c in self._table[0])
-        x0, x1 = x.coords
-
-        def check(a, b):
-            y = self.from_coords((a, b))
-            if y * y == x:
-                return y if y.sign() > 0 else -y
-            return None
-
-        if x1 == 0:
-            r = rational_sqrt(x0)
-            if r is not None:
-                return self.from_rational(r)
-            denom = e + Fraction(f, 2) ** 2
-            if denom != 0:
-                b2 = x0 / denom
-                b = rational_sqrt(b2) if b2 > 0 else None
-                if b is not None:
-                    y = check(-f * b / 2, b)
-                    if y is not None:
-                        return y
-            return None
-        # (f^2 + 4e) b^4 - (4 x0 + 2 f x1) b^2 + x1^2 = 0
-        aa = f * f + 4 * e
-        bb = -(4 * x0 + 2 * f * x1)
-        cc = x1 * x1
-        disc = bb * bb - 4 * aa * cc
-        rd = rational_sqrt(disc) if disc >= 0 else None
-        if rd is None or aa == 0:
-            return None
-        for branch in (Fraction(-bb + rd, 1) / (2 * aa), Fraction(-bb - rd, 1) / (2 * aa)):
-            if branch <= 0:
-                continue
-            b = rational_sqrt(branch)
-            if b is None:
-                continue
-            a = (x1 / b - f * b) / 2
-            y = check(a, b)
-            if y is not None:
-                return y
-        return None
-
     def describe(self) -> dict:
-        lo, hi = self._lo, self._hi
+        """The field's definition, with the isolating interval it was
+        created with: the refined one depends on the sign tests run so far."""
+        lo, hi = self._initial_interval
         return {
             "name": self.name,
             "degree": self.degree,
@@ -535,11 +445,11 @@ class _RationalField(NumberField):
         self.degree = 1
         self.name = "Q"
         self._set_interval(Fraction(-1), Fraction(1))
+        self._initial_interval = self.interval()
         self._table, self._table_den = (), 1
         self._zero_tail = ()
         self.zero = Scalar(self, (0,), 1)
         self.one = Scalar(self, (1,), 1)
-        self.sqrt_units = []
         self.cos_table = {}
         self._install_rational_cosines()
 
@@ -554,11 +464,6 @@ class _RationalField(NumberField):
 
     def _is_zero_at_theta(self, coords):
         return not _strip(coords)
-
-    def sqrt(self, x):
-        x = self.coerce(x)
-        r = rational_sqrt(x.as_fraction())
-        return None if r is None else self.from_rational(r)
 
 
 @lru_cache(maxsize=None)
@@ -752,9 +657,6 @@ class Scalar:
         o = self._pair(other)
         return (self - o).sign() >= 0
 
-    def sqrt(self) -> Optional["Scalar"]:
-        return self.field.sqrt(self)
-
     def __float__(self):
         # the same float as summing float(coords[i]) by Horner's rule
         # (int / int is correctly rounded, reduced or not) at the correctly
@@ -775,7 +677,7 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# catalog fields: quadratic, biquadratic and real-cyclotomic
+# catalog fields: quadratic and real-cyclotomic
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -786,7 +688,6 @@ def quadratic_field(d: int) -> NumberField:
         raise FieldError(f"{d} is a perfect square")
     field = NumberField((-d, 0, 1), (lo, lo + 1), name=f"Q(sqrt{d})")
     theta = field.theta
-    field.sqrt_units.append((field.from_rational(d), theta))
     half = Fraction(1, 2)
     if d == 2:
         field.cos_table[4] = theta * half
@@ -794,36 +695,6 @@ def quadratic_field(d: int) -> NumberField:
         field.cos_table[6] = theta * half
     if d == 5:
         field.cos_table[5] = (theta + 1) * Fraction(1, 4)
-    return field
-
-
-_BIQUADRATIC_INTERVALS = {(2, 3): (3, 4), (2, 5): (Fraction(7, 2), 4), (3, 5): (Fraction(7, 2), Fraction(9, 2))}
-
-
-@lru_cache(maxsize=None)
-def biquadratic_field(a: int, b: int) -> NumberField:
-    """Q(sqrt(a), sqrt(b)) with power basis of gamma = sqrt(a) + sqrt(b)."""
-    if not (0 < a < b):
-        raise FieldError("need 0 < a < b")
-    minpoly = ((a - b) ** 2, 0, -2 * (a + b), 0, 1)
-    field = NumberField(minpoly, _BIQUADRATIC_INTERVALS[(a, b)],
-                        name=f"Q(sqrt{a}+sqrt{b})")
-    g = field.theta
-    g3 = g * g * g
-    denom = Fraction(1, 2 * (b - a))
-    sqrt_a = (g3 - (3 * a + b) * g) * denom
-    sqrt_b = ((a + 3 * b) * g - g3) * denom
-    sqrt_ab = sqrt_a * sqrt_b
-    for d, s in ((a, sqrt_a), (b, sqrt_b), (a * b, sqrt_ab)):
-        field.sqrt_units.append((field.from_rational(d), s))
-    half = Fraction(1, 2)
-    for d, s in ((a, sqrt_a), (b, sqrt_b)):
-        if d == 2:
-            field.cos_table[4] = s * half
-        if d == 3:
-            field.cos_table[6] = s * half
-        if d == 5:
-            field.cos_table[5] = (s + 1) * Fraction(1, 4)
     return field
 
 
@@ -888,25 +759,6 @@ def cosine_field(k: int) -> NumberField:
     for m in range(2, k + 1):
         if k % m == 0:
             field.cos_table[m] = chebyshev_double_cos(field, theta, k // m) * half
-    pairs = []
-    for j in range(1, k):
-        c = chebyshev_double_cos(field, theta, j) * half  # cos(j*pi/k)
-        pairs.append(c)
-    if k % 2 == 0:
-        for j in range(1, k // 2):
-            s = chebyshev_double_cos(field, theta, k // 2 - j) * half  # sin(j*pi/k)
-            pairs.append(s)
-    seen = set()
-    for val in pairs:
-        if val.is_rational() or val.sign() == 0:
-            continue
-        if val.sign() < 0:
-            val = -val
-        key = val.coords
-        if key in seen:
-            continue
-        seen.add(key)
-        field.sqrt_units.append((val * val, val))
     return field
 
 
@@ -916,33 +768,3 @@ def cos_pi_over(field: NumberField, m: int) -> Scalar:
         return field.cos_table[m]
     except KeyError:
         raise FieldError(f"{field.name} cannot express cos(pi/{m})") from None
-
-
-_CATALOG_NAME = re.compile(
-    r"Q|Q\(sqrt(\d+)\)|Q\(sqrt(\d+)\+sqrt(\d+)\)|Q\(2cos\(pi/(\d+)\)\)")
-
-
-def catalog_field_by_name(name: str, minimal_polynomial) -> Optional[NumberField]:
-    """The catalog singleton whose name and minimal polynomial match, if any.
-
-    Lets deserialized data share the exact field object (and its caches)
-    with freshly built values.
-    """
-    match = _CATALOG_NAME.fullmatch(name)
-    if not match:
-        return None
-    quad, bi_a, bi_b, cosk = match.groups()
-    try:
-        if name == "Q":
-            field = rationals()
-        elif quad:
-            field = quadratic_field(int(quad))
-        elif bi_a:
-            field = biquadratic_field(int(bi_a), int(bi_b))
-        else:
-            field = cosine_field(int(cosk))
-    except FieldError:
-        return None
-    if field.minimal_polynomial != _strip(tuple(int(c) for c in minimal_polynomial)):
-        return None
-    return field

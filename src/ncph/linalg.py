@@ -134,6 +134,7 @@ class Matrix:
         """Row echelon form; returns (rows as lists, pivot column list)."""
         rows = [list(r) for r in self.rows]
         pivots = []
+        one = self.field.one
         r = 0
         for col in range(self.ncols):
             pivot = next((i for i in range(r, len(rows))
@@ -141,12 +142,14 @@ class Matrix:
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = rows[r][col].inverse()
-            rows[r] = [e * inv for e in rows[r]]
+            if rows[r][col] != one:
+                inv = rows[r][col].inverse()
+                rows[r] = [e * inv for e in rows[r]]
             for i in range(len(rows)):
                 if i != r and not rows[i][col].is_zero():
                     f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                    rows[i] = [a if b.is_zero() else a - f * b
+                               for a, b in zip(rows[i], rows[r])]
             pivots.append(col)
             r += 1
             if r == len(rows):

@@ -2,10 +2,10 @@
 
 A RunConfig identifies a computation completely; two runs with equal
 configs produce byte-identical outputs.  The bundle builds each artifact on
-first use.  The system's realization (field and simple roots), Coxeter
-number and reflection lengths can be cached on disk under a content hash of
-the config; a cached system is rebuilt from them by the same code as a
-fresh one, skipping the field search and the length ranks.
+first use.  The system's Coxeter number and reflection lengths can be
+cached on disk under a content hash of the config; a cached system is
+built by the same code as a fresh one, with the cached lengths in place of
+the per-class ranks, and must reproduce the cached h.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from . import embed, serialize
+from . import embed
 from .arrangement import (DEFAULT_DENOMINATOR_BOUND, GenericVector, chambers,
                           bounded_slice, enumerate_rays, generic_vector,
                           ray_separation_bound)
@@ -27,10 +27,9 @@ from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         facet_boundary_cycles, order_complex)
 from .coxeter import (DEFAULT_GROUP_CAP, CoxeterDiagram, CoxeterSystem)
 from .embed import EmbeddingReport, VertexComplex, embedding_report, vertex_complex
-from .fields import catalog_field_by_name
 from .rootorder import OrderedRoots, ordered_roots
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,8 @@ class Bundle:
 
     @cached_property
     def bounded_flags(self) -> list[bool]:
-        return bounded_slice(self.chamber_list, self.generic.vector)
+        return bounded_slice(self.system, self.chamber_list,
+                             self.generic.vector)
 
     @cached_property
     def lattice(self) -> list[embed.Flat]:
@@ -165,9 +165,7 @@ def _write_system_cache(config: RunConfig, system: CoxeterSystem) -> None:
     payload = {
         "version": CACHE_VERSION,
         "config": json.loads(config.canonical_json()),
-        "field": system.field.describe(),
         "h": system.h,
-        "simpleRoots": [serialize.vector(r) for r in system.simple_roots],
         "lengths": system.lengths,
     }
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -175,51 +173,32 @@ def _write_system_cache(config: RunConfig, system: CoxeterSystem) -> None:
 
 def _load_system_cache(config: RunConfig) -> Optional[CoxeterSystem]:
     """The cached system, or None when there is no usable cache file: a
-    missing, unreadable, stale or malformed one is rebuilt by the caller."""
+    missing, unreadable, stale or malformed one, or one with other keys
+    than the writer's, is rebuilt by the caller."""
     path = config.cache_path()
     if not path.is_file():
         return None
     try:
         payload = json.loads(path.read_text())
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
+        if not (isinstance(payload, dict)
+                and payload.keys() == {"version", "config", "h", "lengths"}
+                and payload["version"] == CACHE_VERSION):
             return None
         return _system_from_cache(config, payload)
-    except (ValueError, ZeroDivisionError, OSError):
+    except (ValueError, OSError):
         return None
-
-
-def _is_int(x) -> bool:
-    return type(x) is int
-
-
-def _is_list(x, length: Optional[int] = None) -> bool:
-    return isinstance(x, list) and (length is None or len(x) == length)
 
 
 def _system_from_cache(config: RunConfig, payload: dict) -> Optional[CoxeterSystem]:
-    """Rebuild the system from the cached field, simple roots and lengths
-    through the same table-building code as a fresh build.  None if a field
-    is missing or has the wrong type, or if the cached h differs; roots that
-    fail the Gram identities or a lengths list of the wrong size raise
-    ValueError."""
+    """The system built with the cached lengths.  None if h or the lengths
+    have the wrong type, or if the cached h differs; a lengths list of the
+    wrong size raises ValueError."""
     diagram = config.diagram()
-    n = diagram.rank
-    desc, h = payload.get("field"), payload.get("h")
-    roots, lengths = payload.get("simpleRoots"), payload.get("lengths")
-    if not (isinstance(desc, dict) and isinstance(desc.get("name"), str)
-            and _is_list(desc.get("minimalPolynomial"))
-            and all(_is_int(c) for c in desc["minimalPolynomial"])
-            and _is_int(h) and _is_list(lengths)
-            and all(_is_int(x) and 0 <= x <= n for x in lengths)
-            and _is_list(roots, n) and all(_is_list(r, n) for r in roots)):
+    h, lengths = payload["h"], payload["lengths"]
+    if not (type(h) is int and isinstance(lengths, list)
+            and all(type(x) is int and 0 <= x <= diagram.rank
+                    for x in lengths)):
         return None
-    field = catalog_field_by_name(desc["name"], desc["minimalPolynomial"])
-    if field is None or not all(_is_list(x, field.degree)
-                                and all(isinstance(q, str) for q in x)
-                                for r in roots for x in r):
-        return None
-    system = CoxeterSystem.from_realization(
-        diagram, config.swap_classes, field,
-        [serialize.vector_from(field, r) for r in roots],
-        group_cap=config.group_cap, lengths=lengths)
+    system = CoxeterSystem(diagram, config.swap_classes,
+                           group_cap=config.group_cap, lengths=lengths)
     return system if system.h == h else None

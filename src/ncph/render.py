@@ -9,11 +9,14 @@ bold triangle boundaries with their vertices labeled by root position
 
 Floating point is used here for display coordinates only; every decision
 feeding the picture (which chambers are bounded, which facets exist) was
-made upstream in exact arithmetic.  Each distinct ray or vertex becomes a
-unit float vector once, and each arc's angle and sine are taken once, but
-every float operation, in its order, is that of the plain per-point
-formulas (slerp, then projection): tests pin the bytes of the pictures,
-and hoisting work out of a loop must not move a point.  Three-term dot
+made upstream in exact arithmetic.  Exact vectors are in simple-root
+coordinates; the picture places them in R^3 by a float Cholesky factor L
+of the Gram matrix (L L^T = B, row i the simple root a_i), so the roots of
+the first bipartite class are the first unit vectors.  Each distinct ray
+or vertex becomes a unit float vector once, and each arc's angle and sine
+are taken once, but every float operation, in its order, is that of the
+plain per-point formulas (slerp, then projection): tests pin the bytes of
+the pictures, and hoisting work out of a loop must not move a point.  Three-term dot
 products are written out: 0 + x == x for every float, so they round as
 the sums from 0 did, and a zero's sign reaches only 500 + SCALE * x, the
 CUTOFF test or acos, which treat both zeros alike.
@@ -39,9 +42,23 @@ def _unit(v):
     return (v[0] / norm, v[1] / norm, v[2] / norm)
 
 
-def _funit(vector):
-    """The exact vector as a unit float vector."""
-    return _unit([float(x) for x in vector])
+def _frame(gram):
+    """The rows of the float Cholesky factor L of the Gram matrix."""
+    b = [[float(x) for x in row] for row in gram.rows]
+    low = [[0.0] * len(b) for _ in b]
+    for i, row in enumerate(b):
+        for j in range(i + 1):
+            acc = row[j] - sum(low[i][k] * low[j][k] for k in range(j))
+            low[i][j] = math.sqrt(acc) if i == j else acc / low[j][j]
+    return low
+
+
+def _funit(frame, vector):
+    """The exact vector, in simple-root coordinates, as a unit float vector
+    of R^3."""
+    x = [float(c) for c in vector]
+    return _unit([sum(xi * row[j] for xi, row in zip(x, frame))
+                  for j in range(3)])
 
 
 def _basis_perp(v):
@@ -104,7 +121,8 @@ def render_svg(bundle: Bundle) -> str:
     system = bundle.system
     if system.rank != 3:
         raise ValueError("rendering is defined for rank 3 only")
-    v = _funit(bundle.generic.vector)
+    frame = _frame(system.gram)
+    v = _funit(frame, bundle.generic.vector)
     to_plane = _projector(v)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">',
@@ -124,14 +142,14 @@ def render_svg(bundle: Bundle) -> str:
             continue
         for k, ray in zip(chamber.ray_ids, chamber.rays):
             if k not in rays:
-                rays[k] = _funit(ray)
+                rays[k] = _funit(frame, ray)
         corners = [rays[k] for k in chamber.ray_ids]
         parts.append(f'<path class="region" d="{_triangle(to_plane, corners)}"/>')
 
     # great circles of the reflection planes
     v0, v1, v2 = v
     for _, root in system.reflections:
-        (e10, e11, e12), (e20, e21, e22) = _basis_perp(_funit(root))
+        (e10, e11, e12), (e20, e21, e22) = _basis_perp(_funit(frame, root))
         run = []
         for c, s in _CIRCLE:
             x = (c * e10 + s * e20, c * e11 + s * e21, c * e12 + s * e22)
@@ -146,7 +164,7 @@ def render_svg(bundle: Bundle) -> str:
             parts.append(f'<path class="plane" d="{_path(run)}"/>')
 
     # bold facet boundaries of the transformed-root complex
-    vertices = [_funit(x) for x in bundle.vertex_complex.vertices]
+    vertices = [_funit(frame, x) for x in bundle.vertex_complex.vertices]
     for facet in bundle.vertex_complex.complex.facets:
         corners = [vertices[i] for i in facet]
         parts.append(f'<path class="facet" d="{_triangle(to_plane, corners)}"/>')

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import CoxeterSystem, _compose, reflection_matrix
-from .linalg import Matrix, Vector, dot
+from .coxeter import CoxeterSystem, _compose
+from .linalg import Matrix, Vector
 
 
 class RootOrderError(ValueError):
@@ -55,7 +55,7 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
 
     position_of: dict[tuple, int] = {}
     for i, rho in enumerate(roots):
-        if dot(rho, system.interior_point).sign() <= 0:
+        if system.form(rho, system.interior_point).sign() <= 0:
             raise RootOrderError(f"root {i + 1} in the sequence is not positive")
         if rho in position_of:
             raise RootOrderError(f"duplicate root at positions "
@@ -89,7 +89,7 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
         raise RootOrderError("the last n roots are linearly dependent")
     product = system.identity
     for rho in tau:  # r(tau_n) ... r(tau_1) applied right-to-left
-        product = reflection_matrix(system.field, rho) * product
+        product = system.reflection_matrix(rho) * product
     if product != system.coxeter_element:
         raise RootOrderError("the last n reflections do not multiply to c")
 

@@ -109,11 +109,13 @@ def _suite_prop41(bundle: Bundle) -> CheckResult:
     lam2 = lam * lam
     zeros = 0
     violations = 0
+    system = bundle.system
+    co = system.lower(v)
     for ray in bundle.rays:
-        p = dot(ray, v)
+        p = dot(ray, co)
         if p.sign() == 0:
             zeros += 1
-        if (p * p - dot(ray, ray) * lam2).sign() < 0:
+        if (p * p - system.form(ray, ray) * lam2).sign() < 0:
             violations += 1
     return CheckResult("prop41", zeros == 0 and violations == 0, {
         "rays": len(bundle.rays),

@@ -10,7 +10,6 @@ import time
 from ncph.complexes import (cycle_space_rank, fiber_report, mobius_number,
                             poset_map_report)
 from ncph.embed import intersection_lattice_proper_betti
-from ncph.linalg import dot
 from conftest import bundle_for
 
 GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("H", 3),
@@ -70,9 +69,10 @@ def test_criterion_4_separation_certificate():
         bundle = bundle_for(label, rank)
         lam2 = bundle.separation * bundle.separation
         v = bundle.generic.vector
+        form = bundle.system.form
         for ray in bundle.rays:
-            p = dot(ray, v)
-            if p.sign() == 0 or (p * p - dot(ray, ray) * lam2).sign() < 0:
+            p = form(ray, v)
+            if p.sign() == 0 or (p * p - form(ray, ray) * lam2).sign() < 0:
                 ok = False
     _verdict(4, ok, "(r.v)^2 >= lam^2 (r.r) and r.v != 0 for every ray")
 
@@ -85,15 +85,16 @@ def test_criterion_5_vertex_dot_properties():
         roots = bundle.ordered.roots
         v = bundle.generic.vector
         n = bundle.system.rank
+        form = bundle.system.form
         for i in range(len(roots)):
-            if dot(vertices[i], v).sign() <= 0:
+            if form(vertices[i], v).sign() <= 0:
                 ok = False
             for j in range(i, len(roots)):
-                if dot(vertices[i], roots[j]).sign() < 0:
+                if form(vertices[i], roots[j]).sign() < 0:
                     ok = False
             for t in range(1, n):
                 if i + t < len(roots) and \
-                        dot(vertices[i + t], roots[i]).sign() != 0:
+                        form(vertices[i + t], roots[i]).sign() != 0:
                     ok = False
     _verdict(5, ok, "vertex.v > 0; vertex_i.root_j >= 0 for i <= j; "
                     "band products vanish - exhaustive")

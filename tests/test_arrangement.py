@@ -11,7 +11,7 @@ from ncph.arrangement import (GenericityError, _floor_sqrt_of_scaled,
                               canonical_ray, generic_vector,
                               ray_separation_bound, separation_minimum)
 from ncph.fields import quadratic_field, rationals
-from ncph.linalg import Matrix, dot, vec_key, vec_neg
+from ncph.linalg import Matrix, vec_key, vec_neg
 from conftest import bundle_for
 
 SECOND_ROUTE_GROUPS = [("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4),
@@ -30,6 +30,11 @@ def test_a2_rays(a2):
     for ray in a2.rays:
         first = next(x for x in ray if not x.is_zero())
         assert first == a2.system.field.one
+    # the dual rays (2/3)(2, 1) and (2/3)(1, 2), and the third ray
+    # d_1 - d_2, canonically scaled, in simple-root coordinates
+    qq = a2.system.field
+    assert a2.rays == [tuple(map(qq.from_rational, r))
+                       for r in ((1, -1), (1, Fraction(1, 2)), (1, 2))]
 
 
 def test_b3_rays(b3):
@@ -46,7 +51,10 @@ def test_chamber_rays_lie_in_ray_set(b3):
 
 def test_a2_separation_bound(a2):
     lam = a2.separation
-    # exact minimum of (r.rho)^2/(r.r) over nonzero pairings is 3/4
+    # exact minimum of (r.rho)^2/(r.r) over nonzero pairings is 3/4: the
+    # dual ray d_1 = (2/3)(2, 1) has d_1 . d_1 = 4/3 and pairs 1 with a_1
+    assert separation_minimum(a2.system) == a2.system.field.from_rational(
+        Fraction(3, 4))
     assert lam * lam <= Fraction(3, 4)
     assert lam >= Fraction(6, 7)  # 6/7 is a valid bound, the max is at least it
     assert lam > 0
@@ -57,10 +65,11 @@ def test_separation_inequality_certificate(label, rank):
     bundle = bundle_for(label, rank)
     lam2 = bundle.separation * bundle.separation
     v = bundle.generic.vector
+    form = bundle.system.form
     for ray in bundle.rays:
-        p = dot(ray, v)
+        p = form(ray, v)
         assert p.sign() != 0
-        assert (p * p - dot(ray, ray) * lam2).sign() >= 0
+        assert (p * p - form(ray, ray) * lam2).sign() >= 0
 
 
 def test_generic_vector_geometric_weights(a2):
@@ -116,8 +125,6 @@ def test_antipodal_chamber_not_bounded(label, rank):
 @pytest.mark.parametrize("label,rank,swap", [
     ("B", 3, False), ("B", 3, True), ("H", 3, False), ("A", 4, False),
     ("D", 4, False), ("B", 4, False), ("F", 4, False),
-    # swapped, A3 and D4 are realized over Q(sqrt2+sqrt3), whose elements
-    # have several power-basis coordinates to order by
     ("A", 3, True), ("D", 4, True)])
 def test_chamber_rays_are_matrix_images_of_the_dual_rays(label, rank, swap):
     bundle = bundle_for(label, rank, swap)
@@ -140,8 +147,9 @@ def test_chamber_rays_are_matrix_images_of_the_dual_rays(label, rank, swap):
 def test_rays_are_the_one_dimensional_kernels_of_the_hyperplanes(label, rank):
     bundle = bundle_for(label, rank)
     system = bundle.system
-    # one exact kernel per (n-1)-subset of reflection hyperplanes
-    normals = [root for _, root in system.reflections]
+    # one exact kernel per (n-1)-subset of reflection hyperplanes; the
+    # hyperplane of a root rho is the kernel of its covector B rho
+    normals = [system.lower(root) for _, root in system.reflections]
     seen = {}
     for subset in combinations(normals, rank - 1):
         kernel = Matrix(system.field, list(subset)).kernel()
@@ -154,9 +162,10 @@ def test_rays_are_the_one_dimensional_kernels_of_the_hyperplanes(label, rank):
 @pytest.mark.parametrize("label,rank", SECOND_ROUTE_GROUPS)
 def test_separation_minimum_is_taken_over_every_ray_and_root(label, rank):
     bundle = bundle_for(label, rank)
-    values = [dot(ray, root) * dot(ray, root) / dot(ray, ray)
+    form = bundle.system.form
+    values = [form(ray, root) * form(ray, root) / form(ray, ray)
               for ray in bundle.rays for _, root in bundle.system.reflections
-              if dot(ray, root).sign() != 0]
+              if form(ray, root).sign() != 0]
     assert separation_minimum(bundle.system) == min(values)
 
 
@@ -166,7 +175,7 @@ def test_bounded_flags_match_the_per_chamber_sign_test(label, rank):
     v = bundle.generic.vector
     expected = []
     for chamber in bundle.chamber_list:
-        signs = [dot(ray, v).sign() for ray in chamber.rays]
+        signs = [bundle.system.form(ray, v).sign() for ray in chamber.rays]
         assert 0 not in signs
         expected.append(all(s > 0 for s in signs))
     assert bundle.bounded_flags == expected

@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ncph
 from ncph.cli import main
+from ncph.exports import EXPORTERS, to_json
+from ncph.pipeline import Bundle, RunConfig
+from ncph.verify import run_suites
 
 
 def run_cli(args, cwd):
@@ -73,7 +78,8 @@ def test_export_ncp_a2(tmp_path):
     assert lengths == [0, 1, 1, 1, 2]
     assert sorted(data["hasse"]) == [[0, 1], [0, 2], [0, 3],
                                      [1, 4], [2, 4], [3, 4]]
-    assert data["field"]["name"] == "Q(sqrt3)"
+    assert data["field"]["name"] == "Q"
+    assert data["form"] == [[["1/1"], ["-1/2"]], [["-1/2"], ["1/1"]]]
 
 
 def test_export_xc_a1(tmp_path):
@@ -203,6 +209,47 @@ def test_verify_all_passes_with_swapped_classes(tmp_path):
     code = main(["verify", "A", "3", "--all", "--swap-classes",
                  "--out", str(tmp_path), "--no-cache"])
     assert code == 0
+
+
+@pytest.mark.parametrize("rank,order,h,reflections", [
+    ("3", 120, 10, 15), ("4", 14400, 30, 60)])
+def test_info_h_with_swapped_classes(rank, order, h, reflections, tmp_path,
+                                     capsys):
+    # |W| = prod d_i, h = max d_i, |T| = sum (d_i - 1) for the degrees
+    # (2, 6, 10) of H3 and (2, 12, 20, 30) of H4
+    assert main(["info", "H", rank, "--swap-classes", "--out", str(tmp_path),
+                 "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert f"|W|:         {order}\n" in out
+    assert f"order h:     {h}\n" in out
+    assert f"|T| = nh/2:  {reflections}\n" in out
+    assert "field:       Q(sqrt5), degree 2" in out
+
+
+def test_verify_all_h3_with_swapped_classes(tmp_path):
+    code = main(["verify", "H", "3", "--all", "--swap-classes",
+                 "--out", str(tmp_path), "--no-cache"])
+    assert code == 0
+    report = json.loads((tmp_path / "H3-verify.json").read_text())
+    assert report["passed"] is True
+    embed = next(c for c in report["checks"] if c["suite"] == "embed")
+    assert embed["details"]["facets"] == 21
+    assert embed["details"]["boundedChambers"] == 45
+
+
+def test_export_header_does_not_depend_on_earlier_work(tmp_path):
+    # the verify suites refine the isolating interval of Q(sqrt5) in this
+    # process; the export must still equal the one of a fresh process
+    bundle = Bundle(RunConfig(type_label="H", rank=3, cache=False))
+    assert run_suites(bundle)["passed"]
+    after_suites = to_json(EXPORTERS["embed"](bundle))
+    result = run_cli(["export", "embed", "H", "3", "--out", str(tmp_path),
+                      "--no-cache"], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "H3-embed.json").read_text() == after_suites
+    header = json.loads(after_suites)
+    assert header["field"]["isolatingInterval"] == ["2/1", "3/1"]
+    assert len(header["form"]) == 3
 
 
 def test_swap_classes_changes_bipartition(tmp_path, capsys):

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
-                          NotFiniteTypeError, bipartite_order,
-                          reflection_matrix)
-from ncph.linalg import dot
+                          NotFiniteTypeError, bipartite_order)
+from conftest import bundle_for
 
 
 def test_bipartite_order_examples():
@@ -24,34 +23,44 @@ def test_bipartite_swap():
 
 
 def test_bipartite_classes_are_orthonormal():
+    # the Gram matrix B is the identity on each bipartite class
     for label, rank in (("A", 3), ("B", 3), ("H", 3), ("D", 4)):
         system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
         s = system.s
         roots = system.simple_roots
         for i in range(len(roots)):
-            assert dot(roots[i], roots[i]) == system.field.one
+            assert system.form(roots[i], roots[i]) == system.field.one
+            assert system.gram.rows[i][i] == system.field.one
         for block in (range(s), range(s, len(roots))):
             for i in block:
                 for j in block:
                     if i != j:
-                        assert dot(roots[i], roots[j]).is_zero()
+                        assert system.form(roots[i], roots[j]).is_zero()
+                        assert system.gram.rows[i][j].is_zero()
 
 
 def test_a2_gram_entry():
     system = CoxeterSystem(CoxeterDiagram.from_type("A", 2))
     a1, a2 = system.simple_roots
-    assert dot(a1, a2) == system.field.from_rational(Fraction(-1, 2))
+    assert system.form(a1, a2) == system.field.from_rational(Fraction(-1, 2))
 
 
 def test_orthogonal_labels_give_zero_inner_product():
     system = CoxeterSystem(CoxeterDiagram.from_type("A", 3))
     # permuted order (0, 2, 1): the first two simple roots commute
-    assert dot(system.simple_roots[0], system.simple_roots[1]).is_zero()
+    assert system.form(system.simple_roots[0], system.simple_roots[1]).is_zero()
 
 
-def test_b3_needs_sqrt2():
-    system = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
-    assert system.field.name == "Q(sqrt2)"
+@pytest.mark.parametrize("label,rank,name", [
+    ("A", 3, "Q"), ("A", 4, "Q"), ("D", 4, "Q"),
+    ("B", 3, "Q(sqrt2)"), ("B", 4, "Q(sqrt2)"), ("F", 4, "Q(sqrt2)"),
+    ("H", 3, "Q(sqrt5)"), ("H", 4, "Q(sqrt5)"), ("G", 2, "Q(sqrt3)"),
+    ("I", 5, "Q(sqrt5)"), ("I", 7, "Q(2cos(pi/7))")])
+def test_gram_field_is_the_same_in_both_class_orders(label, rank, name):
+    diagram = CoxeterDiagram.from_type(label, rank)
+    assert bipartite_order(diagram, False) != bipartite_order(diagram, True)
+    for swap in (False, True):
+        assert bundle_for(label, rank, swap).system.field.name == name
 
 
 def test_group_sizes():
@@ -68,10 +77,11 @@ def test_reflection_counts_match_nh2():
 
 
 def test_group_elements_are_orthogonal():
+    # every element preserves the form: W^T B W == B
     system = CoxeterSystem(CoxeterDiagram.from_type("B", 2))
     for i in range(system.order):
         w = system.matrix(i)
-        assert w.transpose() * w == system.identity
+        assert w.transpose() * system.gram * w == system.gram
 
 
 def test_reflection_lengths():
@@ -100,7 +110,7 @@ def _pairs(system, sample):
                                                ("F", 4, 400)])
 def test_permutation_product_indexes_the_matrix_product(label, rank, sample):
     # second route: the integer product on root permutations against exact
-    # matrix multiplication of the elements' orthogonal matrices
+    # matrix multiplication of the elements' matrices
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
     for k, g in enumerate(system.simple_perms):
         assert system.matrix(system.index_of[g]) == system.simple_reflections[k]
@@ -109,8 +119,11 @@ def test_permutation_product_indexes_the_matrix_product(label, rank, sample):
     for i, j in _pairs(system, sample):
         assert system.matrix(system.product(i, j)) \
             == system.matrix(i) * system.matrix(j)
+    # the inverse is the adjoint under the form: B^-1 W^T B
+    gram_inverse = system.gram.inverse()
     for i in range(system.order):
-        assert system.matrix(system.inverses[i]) == system.matrix(i).transpose()
+        assert system.matrix(system.inverses[i]) \
+            == gram_inverse * system.matrix(i).transpose() * system.gram
 
 
 def test_precedes_basics():
@@ -146,10 +159,10 @@ def test_reflection_conjugation_identity(label, rank):
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
     roots = [root for _, root in system.reflections]
     for rho in roots:
-        r_rho = reflection_matrix(system.field, rho)
+        r_rho = system.reflection_matrix(rho)
         for tau in roots:
-            r_tau = reflection_matrix(system.field, tau)
-            conj = reflection_matrix(system.field, r_tau.apply(rho))
+            r_tau = system.reflection_matrix(tau)
+            conj = system.reflection_matrix(r_tau.apply(rho))
             assert r_rho * r_tau == r_tau * conj
 
 
@@ -182,7 +195,7 @@ def test_invalid_diagrams():
     with pytest.raises(ValueError):
         CoxeterDiagram.from_matrix([[1, 1], [1, 1]])    # off-diagonal < 2
     with pytest.raises(ValueError):
-        CoxeterDiagram.from_type("E", 6)
+        CoxeterDiagram.from_type("E", 7)
 
 
 def test_c_is_alias_of_b():
@@ -196,6 +209,7 @@ def test_positive_roots_pair_with_reflections():
     system = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
     for t, root in system.reflections:
         assert system.lengths[t] == 1
-        assert dot(root, root) == system.field.one
-        assert dot(root, system.interior_point).sign() > 0
-        assert reflection_matrix(system.field, root) == system.matrix(t)
+        assert system.form(root, root) == system.field.one
+        assert system.form(root, system.interior_point).sign() > 0
+        assert all(x.sign() >= 0 for x in root)
+        assert system.reflection_matrix(root) == system.matrix(t)

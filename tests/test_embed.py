@@ -12,7 +12,7 @@ from ncph.embed import (EmbedError, VertexComplex, dot_property_report,
                         facet_chambers, flat_leq, intersection_lattice,
                         intersection_lattice_proper_betti, project_to_slice,
                         rays_as_flats_check, vertex_operator)
-from ncph.linalg import Matrix, dot, vec_add, vec_key, vec_scale, vec_sub
+from ncph.linalg import Matrix, vec_add, vec_key, vec_scale, vec_sub
 from conftest import bundle_for
 
 
@@ -37,16 +37,19 @@ def test_dot_identities_exhaustive(label, rank):
 
 
 def test_projection_properties(a2):
+    system = a2.system
     v = a2.generic.vector
-    field = a2.system.field
-    assert project_to_slice(v, v) == v
+    field = system.field
+    assert project_to_slice(system, v, v) == v
     x = a2.vertex_complex.vertices[0]
-    assert project_to_slice(vec_scale(x, field.from_rational(2)), v) \
-        == project_to_slice(x, v)
+    assert project_to_slice(system, vec_scale(x, field.from_rational(2)), v) \
+        == project_to_slice(system, x, v)
     for vertex in a2.vertex_complex.vertices:
-        project_to_slice(vertex, v)  # defined for every vertex
+        # defined for every vertex, and lands on the slice
+        p = project_to_slice(system, vertex, v)
+        assert system.form(p, v) == system.form(v, v)
     with pytest.raises(EmbedError):
-        project_to_slice(vec_scale(v, field.from_rational(-1)), v)
+        project_to_slice(system, vec_scale(v, field.from_rational(-1)), v)
 
 
 def test_intersection_lattice_a2(a2):
@@ -218,7 +221,8 @@ def test_facet_walk_matches_the_per_ray_criterion(label, rank):
 def _doctored(vc, position, vertex):
     vertices = list(vc.vertices)
     vertices[position] = vertex
-    return VertexComplex(vc.operator, vertices, vc.complex, vc.roots)
+    return VertexComplex(vc.operator, vertices, vc.complex, vc.roots,
+                         vc.covectors)
 
 
 def test_facet_walk_rejects_dependent_vertices(b3):
@@ -236,8 +240,9 @@ def test_facet_walk_rejects_a_wall_off_the_reflection_hyperplanes(b3):
     moved = vec_add(vc.vertices[f[0]], vec_scale(vc.vertices[f[1]], third))
     doctored = _doctored(vc, f[0], moved)
     # the face opposite f[1] now spans a plane normal to no root
-    assert not any(dot(moved, rho).is_zero()
-                   and dot(vc.vertices[f[2]], rho).is_zero()
+    form = b3.system.form
+    assert not any(form(moved, rho).is_zero()
+                   and form(vc.vertices[f[2]], rho).is_zero()
                    for rho in vc.roots)
     with pytest.raises(EmbedError, match="no reflection hyperplane"):
         facet_chambers(b3.system, doctored, f, b3.chamber_list)

@@ -1,4 +1,4 @@
-"""Exact field arithmetic: construction, signs, inverses, square roots."""
+"""Exact field arithmetic: construction, signs, inverses, catalog fields."""
 
 import math
 import random
@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncph.fields import (FieldError, biquadratic_field, cos2pi_minimal_polynomial,
+from ncph.fields import (FieldError, cos2pi_minimal_polynomial,
                          cosine_field, field_create, quadratic_field,
-                         rational_sqrt, rationals)
+                         rationals)
 
 
 def test_degenerate_polynomials_rejected():
@@ -105,39 +105,10 @@ def test_comparisons():
     assert field.from_rational(2) >= 2
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(0)) == 0
-
-
-def test_quadratic_sqrt_solver():
-    f5 = quadratic_field(5)
-    # (6 - 2 sqrt5)/16 = ((sqrt5 - 1)/4)^2
-    x = f5.from_coords((Fraction(6, 16), Fraction(-2, 16)))
-    y = f5.sqrt(x)
-    assert y is not None and y * y == x and y.sign() > 0
-    # 1/2 is not a square in Q(sqrt5)
-    assert f5.sqrt(f5.from_rational(Fraction(1, 2))) is None
-    f2 = quadratic_field(2)
-    y = f2.sqrt(f2.from_rational(Fraction(1, 2)))
-    assert y is not None and y * y == f2.from_rational(Fraction(1, 2))
-    assert f2.sqrt(-f2.one) is None
-
-
-def test_biquadratic_sqrt_units():
-    field = biquadratic_field(2, 5)
-    y = field.sqrt(field.from_rational(Fraction(5, 8)))  # sqrt(10)/4
-    assert y is not None and y * y == field.from_rational(Fraction(5, 8))
-
-
 def test_cosine_field_tables():
     field = cosine_field(10)
-    c5 = field.cos_table[5]
-    assert abs(float(c5) - math.cos(math.pi / 5)) < 1e-12
-    pivot = field.one - c5 * c5
-    s = field.sqrt(pivot)
-    assert s is not None and abs(float(s) - math.sin(math.pi / 5)) < 1e-12
+    for m in (2, 5, 10):
+        assert abs(float(field.cos_table[m]) - math.cos(math.pi / m)) < 1e-12
 
 
 @pytest.mark.parametrize("k,degree", [(5, 2), (10, 2), (20, 4), (28, 6), (32, 8)])
@@ -274,11 +245,18 @@ class _Oracle:
                 lo = mid
 
 
+def _sqrt2_plus_sqrt5():
+    """A degree-4 field: Q(gamma), gamma = sqrt2 + sqrt5, a root of
+    x^4 - 14 x^2 + 9 (the one in (7/2, 4))."""
+    return field_create((9, 0, -14, 0, 1), (Fraction(7, 2), 4),
+                        name="Q(sqrt2+sqrt5)")
+
+
 _KERNEL_FIELDS = {
     "Q": rationals,
     "Q(sqrt2)": lambda: quadratic_field(2),
     "Q(sqrt5)": lambda: quadratic_field(5),
-    "Q(sqrt2+sqrt5)": lambda: biquadratic_field(2, 5),
+    "Q(sqrt2+sqrt5)": lambda: _sqrt2_plus_sqrt5(),
     "Q(2cos(pi/10))": lambda: cosine_field(10),
     "Q[x]/(2x^2-3)": lambda: field_create((-3, 0, 2), (1, 2)),
 }
@@ -430,7 +408,7 @@ def test_theta_float_is_the_correctly_rounded_square_root(d):
 @pytest.mark.parametrize("name,make", [
     ("Q(sqrt2)", lambda: quadratic_field(2)),
     ("Q(sqrt5)", lambda: quadratic_field(5)),
-    ("Q(sqrt2+sqrt5)", lambda: biquadratic_field(2, 5)),
+    ("Q(sqrt2+sqrt5)", lambda: _sqrt2_plus_sqrt5()),
     ("Q(2cos(pi/20))", lambda: cosine_field(20)),
 ])
 def test_theta_float_does_not_depend_on_the_refinement(name, make):

@@ -7,7 +7,7 @@ import pytest
 
 from ncph.coxeter import CoxeterDiagram, CoxeterSystem
 from ncph.fields import quadratic_field, rationals
-from ncph.linalg import Matrix, dot
+from ncph.linalg import Matrix
 
 
 def test_identity_rank():
@@ -18,22 +18,24 @@ def test_identity_rank():
 def test_kernel_of_two_independent_normals():
     system = CoxeterSystem(CoxeterDiagram.from_type("A", 3))
     normals = [root for _, root in system.reflections][:2]
-    m = Matrix(system.field, normals)
+    m = Matrix(system.field, [system.lower(root) for root in normals])
     assert m.rank() == 2
     kernel = m.kernel()
     assert len(kernel) == 1
     for row in normals:
-        assert dot(row, kernel[0]).is_zero()
+        assert system.form(row, kernel[0]).is_zero()
 
 
 def test_a2_rotation_determinant():
-    # alpha1 = (1,0), alpha2 = (-1/2, sqrt3/2) over Q(sqrt3)
-    field = quadratic_field(3)
-    half = Fraction(1, 2)
+    # alpha1 = (1,0), alpha2 = (0,1) over Q, with alpha1 . alpha2 = -1/2
+    system = CoxeterSystem(CoxeterDiagram.from_type("A", 2))
+    field = system.field
     a1 = (field.one, field.zero)
-    a2 = (field.from_rational(-half), field.theta * half)
-    from ncph.coxeter import reflection_matrix
-    c = reflection_matrix(field, a1) * reflection_matrix(field, a2)
+    a2 = (field.zero, field.one)
+    assert system.gram == Matrix(field, [[1, Fraction(-1, 2)],
+                                         [Fraction(-1, 2), 1]])
+    c = system.reflection_matrix(a1) * system.reflection_matrix(a2)
+    assert c == Matrix(field, [[0, -1], [1, -1]])
     delta = Matrix.identity(field, 2) - c
     assert delta.det() == field.from_rational(3)
     assert delta.rank() == 2

@@ -30,6 +30,7 @@ DEGREES = {
     "B4": (2, 4, 6, 8),
     "F4": (2, 6, 8, 12),
     "H4": (2, 12, 20, 30),
+    "E6": (2, 5, 6, 8, 9, 12),
 }
 
 
@@ -73,3 +74,14 @@ def test_facets_and_bounded_chambers_match_the_degrees(label):
     assert report.rank == positive_catalan
     assert sum(bundle.bounded_flags) == bounded
     assert report.bounded_count == bounded
+
+
+def test_e6_root_complex_facets_match_the_degrees():
+    # Cat+(E6) = 418 facets; the Gram matrix of a simply laced diagram is
+    # rational
+    degrees = DEGREES["E6"]
+    h = max(degrees)
+    bundle = bundle_for("E", 6)
+    assert bundle.system.field.name == "Q"
+    assert len(bundle.root_complex.facets) == _integer(
+        prod(Fraction(h + d - 2, d) for d in degrees)) == 418

@@ -1,11 +1,9 @@
 """The root sequence rho_1..rho_(nh/2) and its tail."""
 
-from fractions import Fraction
-
 import pytest
 
-from ncph.coxeter import CoxeterDiagram, CoxeterSystem, reflection_matrix
-from ncph.linalg import Matrix, dot, vec_key
+from ncph.coxeter import CoxeterDiagram, CoxeterSystem
+from ncph.linalg import Matrix, vec_key
 from ncph.rootorder import ordered_roots
 from conftest import bundle_for
 
@@ -18,11 +16,11 @@ def test_a2_sequence_frozen():
     system = CoxeterSystem(CoxeterDiagram.from_type("A", 2))
     ordered = ordered_roots(system)
     field = system.field
-    half = Fraction(1, 2)
+    assert field.name == "Q"
     expected = [
-        _coords(field, (1, 0), (0, 0)),            # rho_1 = alpha_1 = (1, 0)
-        _coords(field, (half, 0), (0, half)),      # rho_2 = (1/2, sqrt3/2)
-        _coords(field, (-half, 0), (0, half)),     # rho_3 = alpha_2
+        _coords(field, (1,), (0,)),     # rho_1 = alpha_1
+        _coords(field, (1,), (1,)),     # rho_2 = r_1 alpha_2 = alpha_1 + alpha_2
+        _coords(field, (0,), (1,)),     # rho_3 = alpha_2
     ]
     assert ordered.roots == expected
     assert ordered.roots[0] == system.simple_roots[0]
@@ -48,8 +46,7 @@ def test_a2_tail_product():
     ordered = ordered_roots(system)
     t1, t2 = ordered.tau
     assert ordered.roots[1] == t1 and ordered.roots[2] == t2
-    product = (reflection_matrix(system.field, t2)
-               * reflection_matrix(system.field, t1))
+    product = system.reflection_matrix(t2) * system.reflection_matrix(t1)
     assert product == system.coxeter_element
 
 
@@ -60,7 +57,7 @@ def test_b3_tail_product_and_independence():
     assert Matrix(system.field, tau).rank() == 3
     product = system.identity
     for t in tau:
-        product = reflection_matrix(system.field, t) * product
+        product = system.reflection_matrix(t) * product
     assert product == system.coxeter_element
 
 
@@ -68,7 +65,7 @@ def test_roots_positive_and_exhaustive():
     system = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
     ordered = ordered_roots(system)
     for rho in ordered.roots:
-        assert dot(rho, system.interior_point).sign() > 0
+        assert system.form(rho, system.interior_point).sign() > 0
     assert ({vec_key(r) for r in ordered.roots}
             == {vec_key(root) for _, root in system.reflections})
 
