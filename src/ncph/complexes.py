@@ -5,6 +5,11 @@ complex on the ordered positive roots, the order complexes of posets with
 their reduced rational homology, the facet-boundary cycles that give an
 explicit homology basis, and the Moebius number.
 
+Posets are given by their covers: in NC(W), a is covered by a t for each
+reflection t with l(a t) = l(a) + 1 (Brady-Watt).  An order complex has the
+maximal chains grown along the covers as its facets; these, like maximal
+cliques, are never nested, so a complex takes its facets as given.
+
 Homology is computed over the rationals from exact ranks of the sparse
 boundary matrices, found by column reduction.
 The reduced chain complex carries the empty simplex in degree -1, so the
@@ -15,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, permutations
 from math import gcd, lcm
-from operator import and_, or_
-from typing import Callable, Iterable, Optional, Sequence
+from operator import and_
+from typing import Iterable, Optional, Sequence
 
 from .coxeter import BudgetExceededError, CoxeterSystem
 from .rootorder import OrderedRoots
@@ -36,29 +41,16 @@ class ComplexError(ValueError):
 # ---------------------------------------------------------------------------
 
 class SimplicialComplex:
-    """Vertex labels are integers; simplices are sorted label tuples."""
+    """Vertex labels are integers; simplices are sorted label tuples.  The
+    facets must be maximal: no declared face may lie inside another."""
 
     def __init__(self, vertices: Iterable[int], facets: Iterable[Sequence[int]]):
         self.vertices = tuple(sorted(set(vertices)))
         vertex_set = set(self.vertices)
-        seen = set()
-        for f in facets:
-            t = tuple(sorted(f))
-            if not set(t) <= vertex_set:
-                raise ComplexError("facet uses unknown vertices")
-            seen.add(t)
-        # drop faces that are contained in another declared facet: the
-        # declared faces holding every vertex of t, as a bitset over
-        # positions, must be t alone
-        declared = sorted(seen)
-        holding = dict.fromkeys(self.vertices, 0)
-        for pos, t in enumerate(declared):
-            for v in t:
-                holding[v] |= 1 << pos
-        everything = (1 << len(declared)) - 1
-        self.facets = tuple(
-            t for pos, t in enumerate(declared)
-            if reduce(and_, (holding[v] for v in t), everything) == 1 << pos)
+        declared = {tuple(sorted(f)) for f in facets}
+        if not all(set(t) <= vertex_set for t in declared):
+            raise ComplexError("facet uses unknown vertices")
+        self.facets = tuple(sorted(declared))
 
     @property
     def dim(self) -> int:
@@ -92,11 +84,20 @@ class SimplicialComplex:
 
 
 def full_subcomplex(complex_: SimplicialComplex, keep: Iterable[int]) -> SimplicialComplex:
-    """The subcomplex induced on a vertex subset."""
+    """The subcomplex induced on a vertex subset.  Its facets are the traces
+    of the facets that lie in no other trace: the traces holding every
+    vertex of one, as a bitset over positions, must be that one alone."""
     keep = set(keep)
-    traces = {tuple(v for v in f if v in keep) for f in complex_.facets}
-    traces.discard(())
-    return SimplicialComplex(keep & set(complex_.vertices), traces)
+    traces = sorted({tuple(v for v in f if v in keep)
+                     for f in complex_.facets} - {()})
+    holding = dict.fromkeys(keep, 0)
+    for pos, t in enumerate(traces):
+        for v in t:
+            holding[v] |= 1 << pos
+    everything = (1 << len(traces)) - 1
+    return SimplicialComplex(keep & set(complex_.vertices), [
+        t for pos, t in enumerate(traces)
+        if reduce(and_, (holding[v] for v in t), everything) == 1 << pos])
 
 
 def _max_cliques(neighbors: dict[int, set[int]]) -> list[tuple[int, ...]]:
@@ -128,7 +129,7 @@ class NcpLattice:
     system: CoxeterSystem
     elements: list[int]            # group indices, sorted by (length, matrix)
     position: dict[int, int]       # group index -> position in `elements`
-    leq: list[list[bool]]          # absolute order restricted to the interval
+    covers: list[list[int]]        # position -> ascending positions covering it
 
     @property
     def size(self) -> int:
@@ -150,30 +151,39 @@ class NcpLattice:
                 if p not in (self.bottom, self.top)]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for a in range(self.size):
-            for b in range(self.size):
-                if a != b and self.leq[a][b] \
-                        and self.length(b) == self.length(a) + 1:
-                    out.append((a, b))
-        return out
+        return [(a, b) for a in range(self.size) for b in self.covers[a]]
+
+    @cached_property
+    def below(self) -> list[int]:
+        """Strict down-sets, as bitsets over positions; positions are sorted
+        by length, so every element comes after the elements it covers."""
+        down = [0] * self.size
+        for a, ups in enumerate(self.covers):
+            for b in ups:
+                down[b] |= down[a] | 1 << a
+        return down
 
     def mobius_number(self) -> int:
-        order = sorted(range(self.size), key=self.length)
-        mu = [0] * self.size
-        for pos in order:
-            below = sum(mu[q] for q in range(self.size)
-                        if q != pos and self.leq[q][pos])
-            mu[pos] = 1 if pos == self.bottom else -below
+        mu = []
+        for pos, down in enumerate(self.below):
+            mu.append(-sum(m for q, m in enumerate(mu) if down >> q & 1)
+                      if pos != self.bottom else 1)
         return mu[self.top]
 
 
 def build_ncp(system: CoxeterSystem) -> NcpLattice:
+    """The interval [e, c], with a covered by a t for each reflection t that
+    keeps a t inside it and raises the length by one."""
     members = [i for i in range(system.order) if system.precedes(i, system.c_index)]
     members.sort(key=system.element_sort_key)
     position = {g: p for p, g in enumerate(members)}
-    leq = [[system.precedes(a, b) for b in members] for a in members]
-    lattice = NcpLattice(system, members, position, leq)
+    lengths = system.lengths
+    covers = []
+    for a in members:
+        ups = (system.product(a, t) for t, _ in system.reflections)
+        covers.append(sorted(position[b] for b in ups if b in position
+                             and lengths[b] == lengths[a] + 1))
+    lattice = NcpLattice(system, members, position, covers)
     if lattice.length(lattice.bottom) != 0 or lattice.length(lattice.top) != system.rank:
         raise ComplexError("interval is not graded from e to c")
     return lattice
@@ -286,12 +296,13 @@ def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
     report = FiberReport()
     skeleton = [s for s in xc.all_simplices() if len(s) <= system.rank - 1]
     image = {s: simplex_element(system, ordered, s) for s in skeleton}
-    # an image inside NC(W) reads the relation from the lattice's order table
+    # an image inside NC(W) reads the relation from the lattice's down-sets
     in_ncp = {s: ncp.position.get(u) for s, u in image.items()}
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
+        down = ncp.below[pos] | 1 << pos
         lhs = {s for s in skeleton
-               if (ncp.leq[in_ncp[s]][pos] if in_ncp[s] is not None
+               if (down >> in_ncp[s] & 1 if in_ncp[s] is not None
                    else system.precedes(image[s], w))}
         rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
         if lhs != rhs:
@@ -304,51 +315,25 @@ def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
 # order complexes and rational homology
 # ---------------------------------------------------------------------------
 
-def poset_covers(size: int, leq: Callable[[int, int], bool]
-                 ) -> tuple[list[list[int]], list[int]]:
-    """The cover lists (each ascending) and the minimal elements of a poset
-    on labels 0..size-1 sorted by a linear extension.
-
-    A transitive reduction on bitsets: the strict up-sets of a are walked in
-    label order, and b is a cover of a exactly when no earlier cover lies
-    below it, that is when b is not yet in the union of their up-sets.
+def order_complex(covers: list[list[int]]) -> SimplicialComplex:
+    """Chains of a poset on labels 0..len(covers)-1, given by the labels
+    covering each label; facets are the maximal chains, grown along the
+    covers from every label that nothing covers.
     """
-    up = [sum(1 << b for b in range(size) if b != a and leq(a, b))
-          for a in range(size)]
-    covers = []
-    for a in range(size):
-        above, reached, found = up[a], 0, []
-        while above:
-            low = above & -above
-            above ^= low
-            if not reached & low:
-                b = low.bit_length() - 1
-                found.append(b)
-                reached |= up[b]
-        covers.append(found)
-    non_minimal = reduce(or_, up, 0)
-    minimal = [a for a in range(size) if not non_minimal >> a & 1]
-    return covers, minimal
-
-
-def order_complex(size: int, leq: Callable[[int, int], bool]) -> SimplicialComplex:
-    """Chains of a poset on labels 0..size-1 (labels must already be sorted
-    by a linear extension); facets are the maximal chains.
-    """
-    covers, minimal = poset_covers(size, leq)
+    covered = {b for ups in covers for b in ups}
     chains: list[tuple[int, ...]] = []
 
     def extend(chain):
-        last = chain[-1]
-        if not covers[last]:
-            chains.append(tuple(chain))
-            return
-        for nxt in covers[last]:
-            extend(chain + [nxt])
+        ups = covers[chain[-1]]
+        if not ups:
+            chains.append(chain)
+        for nxt in ups:
+            extend(chain + (nxt,))
 
-    for a in minimal:
-        extend([a])
-    return SimplicialComplex(range(size), chains)
+    for a in range(len(covers)):
+        if a not in covered:
+            extend((a,))
+    return SimplicialComplex(range(len(covers)), chains)
 
 
 class Chain:
@@ -516,7 +501,3 @@ def _integer_column(chain: Chain, pos: dict) -> dict[int, int]:
     den = lcm(*(c.denominator for c in chain.coefficients.values()))
     return {pos[s]: c.numerator * (den // c.denominator)
             for s, c in chain.coefficients.items()}
-
-
-def mobius_number(ncp: NcpLattice) -> int:
-    return ncp.mobius_number()

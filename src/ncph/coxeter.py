@@ -70,6 +70,12 @@ class CoxeterDiagram:
                     raise ValueError("Coxeter matrix must be symmetric")
                 if i != j and m[i][j] < 2:
                     raise ValueError("off-diagonal entries must be >= 2")
+        # the group is a product when the graph of labels >= 3 falls apart
+        parts = sorted({tuple(sorted(closure([i], lambda k: [
+            j for j in range(n) if m[k][j] >= 3]))) for i in range(n)})
+        if len(parts) > 1:
+            raise ValueError("reducible diagram: components " + ", ".join(
+                str(list(p)) for p in parts))
 
     @property
     def rank(self) -> int:
@@ -149,22 +155,17 @@ def bipartite_order(diagram: CoxeterDiagram, swap: bool = False) -> tuple[tuple[
     and the last n-s are too; original order is kept inside each class.
     """
     n = diagram.rank
-    color = [None] * n
-    for start in range(n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j != i and diagram.matrix[i][j] >= 3:
-                    if color[j] is None:
-                        color[j] = 1 - color[i]
-                        stack.append(j)
-                    elif color[j] == color[i]:
-                        raise NotFiniteTypeError(
-                            "diagram graph is not 2-colorable")
+    color = [0] + [None] * (n - 1)   # the diagram is connected
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and diagram.matrix[i][j] >= 3:
+                if color[j] is None:
+                    color[j] = 1 - color[i]
+                    stack.append(j)
+                elif color[j] == color[i]:
+                    raise NotFiniteTypeError("diagram graph is not 2-colorable")
     first = [i for i in range(n) if color[i] == 0]
     second = [i for i in range(n) if color[i] == 1]
     if swap:

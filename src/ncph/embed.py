@@ -214,6 +214,17 @@ def flat_leq(a: Flat, b: Flat) -> bool:
     return a.reflections <= b.reflections
 
 
+def flat_covers(flats: list[Flat]) -> list[list[int]]:
+    """The cover lists of flats sorted by codimension, as ascending
+    positions in the list: the flats covering a flat are the flats of the
+    next codimension that contain it (the lattice is graded by codim)."""
+    by_codim: dict[int, list[int]] = {}
+    for pos, f in enumerate(flats):
+        by_codim.setdefault(f.codim, []).append(pos)
+    return [[b for b in by_codim.get(a.codim + 1, ())
+             if flat_leq(a, flats[b])] for a in flats]
+
+
 def intersection_lattice_proper_betti(system: CoxeterSystem,
                                       budget: int = 5_000_000,
                                       flats: Optional[list[Flat]] = None
@@ -223,9 +234,7 @@ def intersection_lattice_proper_betti(system: CoxeterSystem,
     if flats is None:
         flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
-    cx = order_complex(len(proper),
-                       lambda i, j: flat_leq(proper[i], proper[j]))
-    return betti_numbers(cx, budget)
+    return betti_numbers(order_complex(flat_covers(proper)), budget)
 
 
 def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],

@@ -101,9 +101,10 @@ class Bundle:
 
     @cached_property
     def ncp_order_complex(self) -> SimplicialComplex:
-        proper = self.ncp.proper_positions()
-        return order_complex(
-            len(proper), lambda i, j: self.ncp.leq[proper[i]][proper[j]])
+        # proper positions 1..top-1 become labels 0..top-2
+        top = self.ncp.top
+        return order_complex([[b - 1 for b in ups if b != top]
+                              for ups in self.ncp.covers[1:top]])
 
     @cached_property
     def ncp_betti(self) -> dict[int, int]:

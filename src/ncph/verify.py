@@ -11,8 +11,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .arrangement import GenericityError
 from .complexes import (ComplexError, cycle_space_rank, fiber_report,
-                        mobius_number, poset_map_report,
-                        simplex_length_rule_failures)
+                        poset_map_report, simplex_length_rule_failures)
 from .coxeter import BudgetExceededError
 from .embed import (EmbedError, dot_property_report,
                     intersection_lattice_proper_betti, rays_as_flats_check)
@@ -95,7 +94,7 @@ def _suite_betti(bundle: Bundle) -> CheckResult:
 
 
 def _suite_mobius(bundle: Bundle) -> CheckResult:
-    mu = mobius_number(bundle.ncp)
+    mu = bundle.ncp.mobius_number()
     facets = len(bundle.root_complex.facets)
     expected = (-1) ** bundle.system.rank * facets
     return CheckResult("mobius", mu == expected, {

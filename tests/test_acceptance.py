@@ -7,8 +7,7 @@ rational / real-algebraic throughout.
 
 import time
 
-from ncph.complexes import (cycle_space_rank, fiber_report, mobius_number,
-                            poset_map_report)
+from ncph.complexes import cycle_space_rank, fiber_report, poset_map_report
 from ncph.embed import intersection_lattice_proper_betti
 from conftest import bundle_for
 
@@ -57,7 +56,7 @@ def test_criterion_3_mobius_identity():
     ok = True
     for label, rank in GROUPS:
         bundle = bundle_for(label, rank)
-        mu = mobius_number(bundle.ncp)
+        mu = bundle.ncp.mobius_number()
         expected = (-1) ** bundle.system.rank * len(bundle.root_complex.facets)
         ok = ok and mu == expected
     _verdict(3, ok, "Moebius number = (-1)^n * facet count for all groups")

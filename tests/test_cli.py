@@ -164,6 +164,22 @@ def test_not_finite_type_exit_code(tmp_path):
                  "--out", str(tmp_path), "--no-cache"]) == 2
 
 
+@pytest.mark.parametrize("rows,components", [
+    ([[1, 4, 2, 2], [4, 1, 2, 2], [2, 2, 1, 5], [2, 2, 5, 1]],
+     "[0, 1], [2, 3]"),                                    # B2 x I2(5)
+    ([[1, 2, 2], [2, 1, 4], [2, 4, 1]], "[0], [1, 2]"),    # A1 x B2
+])
+def test_reducible_matrix_is_a_usage_error(tmp_path, rows, components):
+    mfile = tmp_path / "product.json"
+    mfile.write_text(json.dumps(rows))
+    result = run_cli(["verify", "--matrix", str(mfile), "--all",
+                      "--out", str(tmp_path), "--no-cache"], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert (f"error: reducible diagram: components {components}"
+            in result.stderr)
+    assert "Traceback" not in result.stderr
+
+
 def test_budget_exit_code(tmp_path):
     # budget overruns are reported distinctly from invariant failures
     assert main(["verify", "B", "3", "--all", "--group-cap", "10",

@@ -11,12 +11,11 @@ from ncph.complexes import (Chain, ComplexError, SimplicialComplex,
                             _sparse_rank, betti_numbers, build_ncp,
                             build_root_complex, cycle_space_rank,
                             facet_boundary_cycles, fiber_report,
-                            full_subcomplex, mobius_number,
-                            order_complex, poset_covers, poset_map_report,
+                            full_subcomplex, order_complex, poset_map_report,
                             restricted_complex, simplex_element,
                             simplex_length_rule_failures)
 from ncph.coxeter import BudgetExceededError
-from ncph.embed import flat_leq, intersection_lattice
+from ncph.embed import flat_covers, flat_leq, intersection_lattice
 from ncph.fields import rationals
 from ncph.linalg import Matrix
 from conftest import bundle_for
@@ -99,7 +98,7 @@ def test_fiber_identity(label, rank):
 
 @pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
 def test_fiber_report_matches_the_precedes_only_left_side(label, rank):
-    """The left side read from the NC(W) order table, against one
+    """The left side read from the NC(W) down-sets, against one
     ``precedes`` call per (simplex, w) pair."""
     bundle = bundle_for(label, rank)
     system, ordered, xc, ncp = (bundle.system, bundle.ordered,
@@ -119,10 +118,10 @@ def test_fiber_report_matches_the_precedes_only_left_side(label, rank):
 
 
 def test_order_complex_antichain_and_chain():
-    antichain = order_complex(3, lambda a, b: a == b)
+    antichain = order_complex([[], [], []])
     assert antichain.facets == ((0,), (1,), (2,))
     assert betti_numbers(antichain) == {-1: 0, 0: 2}
-    chain = order_complex(3, lambda a, b: a <= b)
+    chain = order_complex([[1], [2], []])
     assert chain.facets == ((0, 1, 2),)
     assert betti_numbers(chain) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
@@ -153,15 +152,25 @@ def _cubic_covers_and_chains(size, leq):
                                         ("F", 4)])
 def test_order_complex_covers_match_the_cubic_loop(label, rank):
     bundle = bundle_for(label, rank)
-    ncp = bundle.ncp
+    system, ncp = bundle.system, bundle.ncp
+    elements = ncp.elements
+    covers, _, _ = _cubic_covers_and_chains(
+        ncp.size, lambda i, j: system.precedes(elements[i], elements[j]))
+    assert ncp.covers == covers
+    assert ncp.hasse_edges() == [(a, b) for a in range(ncp.size)
+                                 for b in covers[a]]
     nc_proper = ncp.proper_positions()
+    _, _, nc_chains = _cubic_covers_and_chains(
+        len(nc_proper), lambda i, j: system.precedes(elements[nc_proper[i]],
+                                                     elements[nc_proper[j]]))
     flats = [f for f in bundle.lattice if 0 < f.codim < rank]
-    for size, leq in (
-            (len(nc_proper), lambda i, j: ncp.leq[nc_proper[i]][nc_proper[j]]),
-            (len(flats), lambda i, j: flat_leq(flats[i], flats[j]))):
-        covers, minimal, chains = _cubic_covers_and_chains(size, leq)
-        assert poset_covers(size, leq) == (covers, minimal)
-        assert order_complex(size, leq).facets == tuple(sorted(chains))
+    flat_cover_lists, _, flat_chains = _cubic_covers_and_chains(
+        len(flats), lambda i, j: flat_leq(flats[i], flats[j]))
+    assert flat_covers(flats) == flat_cover_lists
+    for cx, chains in ((bundle.ncp_order_complex, nc_chains),
+                       (order_complex(flat_cover_lists), flat_chains)):
+        assert cx.facets == tuple(sorted(chains))
+        assert not any(set(a) < set(b) for a in chains for b in chains)
 
 
 @st.composite
@@ -173,10 +182,14 @@ def _face_families(draw):
 @settings(max_examples=300, deadline=None)
 @given(_face_families())
 def test_declared_faces_inside_another_are_dropped(faces):
-    declared = set(faces)
+    # each face gets a vertex of its own beyond 0..5, so the complex's
+    # facets are never nested, and their traces on 0..5 are the faces
+    declared = set(faces) - {()}
     expected = tuple(sorted(t for t in declared
                             if not any(set(t) < set(o) for o in declared)))
-    assert SimplicialComplex(range(6), faces).facets == expected
+    padded = [face + (6 + i,) for i, face in enumerate(faces)]
+    cx = SimplicialComplex(range(6 + len(faces)), padded)
+    assert full_subcomplex(cx, range(6)).facets == expected
 
 
 def test_ncp_proper_part_dimension(b3):
@@ -230,8 +243,8 @@ def test_basis_cycle_rank_one_group():
 
 def test_mobius_numbers(a2, b3):
     assert bundle_for("A", 1).ncp.mobius_number() == -1
-    assert mobius_number(a2.ncp) == 2
-    assert mobius_number(b3.ncp) == -10
+    assert a2.ncp.mobius_number() == 2
+    assert b3.ncp.mobius_number() == -10
 
 
 def test_simplex_budget():
@@ -263,8 +276,7 @@ def _columns(entries: list[list[int]]) -> list[dict[int, int]]:
 def _lattice_order_complex(system):
     flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
-    return order_complex(len(proper),
-                         lambda i, j: flat_leq(proper[i], proper[j]))
+    return order_complex(flat_covers(proper))
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3)])

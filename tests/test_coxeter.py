@@ -198,6 +198,15 @@ def test_invalid_diagrams():
         CoxeterDiagram.from_type("E", 7)
 
 
+def test_reducible_diagram_rejected():
+    # the nodes joined by labels >= 3, listed from 0
+    with pytest.raises(ValueError, match=r"reducible diagram: components "
+                                         r"\[0\], \[1\]$"):
+        CoxeterDiagram.from_type("I", 2)                 # A1 x A1
+    with pytest.raises(ValueError, match=r"components \[0, 2\], \[1\]$"):
+        CoxeterDiagram.from_matrix([[1, 2, 3], [2, 1, 2], [3, 2, 1]])
+
+
 def test_c_is_alias_of_b():
     b = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
     c = CoxeterSystem(CoxeterDiagram.from_type("C", 3))

@@ -9,7 +9,8 @@ import pytest
 
 from ncph.complexes import order_complex
 from ncph.embed import (EmbedError, VertexComplex, dot_property_report,
-                        facet_chambers, flat_leq, intersection_lattice,
+                        facet_chambers, flat_covers, flat_leq,
+                        intersection_lattice,
                         intersection_lattice_proper_betti, project_to_slice,
                         rays_as_flats_check, vertex_operator)
 from ncph.linalg import Matrix, vec_add, vec_key, vec_scale, vec_sub
@@ -108,8 +109,7 @@ def test_intersection_lattice_mobius_number_is_the_product_of_exponents(
     # P. Hall: the Moebius number is the reduced Euler characteristic of the
     # order complex of the proper part, counted here from its faces alone
     proper = [f for f in flats if 0 < f.codim < rank]
-    cx = order_complex(len(proper),
-                       lambda i, j: proper[i].reflections <= proper[j].reflections)
+    cx = order_complex(flat_covers(proper))
     euler = -1 + sum((-1) ** k * len(faces)
                      for k, faces in cx.simplices_by_dim().items())
     assert mobius == euler

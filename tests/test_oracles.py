@@ -11,14 +11,20 @@ and the Moebius number of NC(W) is (-1)^n prod (h + d_i - 2) / d_i
 root complex has Cat+(W) = prod (h + d_i - 2) / d_i facets, the rank of the
 facet-chamber incidence, and the generic slice is bounded in
 prod (d_i - 1) chambers, the top Betti number of the intersection lattice.
+NC(W) has n! h^n / |W| maximal chains (Chapoton, Enumerative properties of
+generalized associahedra, Sem. Lothar. Combin. 51, 2004), and the proper
+part of the partition lattice L(A_n) has n! (n+1)! / 2^n: a maximal chain
+of set partitions of n+1 points merges two blocks at each step.
 None of these values comes from the code under test.
 """
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
+from ncph.complexes import order_complex
+from ncph.embed import flat_covers
 from conftest import bundle_for
 
 DEGREES = {
@@ -85,3 +91,22 @@ def test_e6_root_complex_facets_match_the_degrees():
     assert bundle.system.field.name == "Q"
     assert len(bundle.root_complex.facets) == _integer(
         prod(Fraction(h + d - 2, d) for d in degrees)) == 418
+
+
+@pytest.mark.parametrize("label,chains", [
+    ("A3", 16), ("B3", 27), ("H3", 50), ("A4", 125), ("D4", 162),
+    ("B4", 256), ("F4", 432), ("E6", 41472)])
+def test_maximal_chains_of_the_lattice_match_the_degrees(label, chains):
+    degrees = DEGREES[label]
+    n, h = len(degrees), max(degrees)
+    assert _integer(Fraction(factorial(n) * h ** n, prod(degrees))) == chains
+    bundle = bundle_for(label[0], n)
+    assert len(bundle.ncp_order_complex.facets) == chains
+
+
+@pytest.mark.parametrize("n,chains", [(3, 18), (4, 180)])
+def test_maximal_chains_of_the_partition_lattice(n, chains):
+    assert factorial(n) * factorial(n + 1) // 2 ** n == chains
+    flats = bundle_for("A", n).lattice
+    proper = [f for f in flats if 0 < f.codim < n]
+    assert len(order_complex(flat_covers(proper)).facets) == chains
