@@ -9,7 +9,7 @@ are made in exact real algebraic arithmetic.
 """
 
 from .coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
-                      NotFiniteTypeError, RealizationError, bipartite_order)
+                      NotFiniteTypeError, bipartite_order)
 from .fields import (FieldError, NumberField, Scalar, field_create, rationals,
                      quadratic_field, cosine_field)
 from .linalg import Matrix, dot
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bundle", "BudgetExceededError", "CoxeterDiagram", "CoxeterSystem",
     "FieldError", "Matrix", "NotFiniteTypeError", "NumberField",
-    "OrderedRoots", "RealizationError", "RootOrderError", "RunConfig",
+    "OrderedRoots", "RootOrderError", "RunConfig",
     "Scalar", "bipartite_order", "build", "cosine_field",
     "dot", "field_create", "ordered_roots", "quadratic_field", "rationals",
 ]

@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coxeter import (BudgetExceededError, NotFiniteTypeError, RealizationError)
+from .coxeter import BudgetExceededError, NotFiniteTypeError
 from .exports import EXPORTERS, to_json
 from .fields import FieldError
 from .pipeline import Bundle, RunConfig
@@ -164,8 +164,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return 3
-    except (NotFiniteTypeError, RealizationError, RootOrderError, FieldError,
-            ValueError, OSError) as err:
+    except (NotFiniteTypeError, RootOrderError, FieldError, ValueError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

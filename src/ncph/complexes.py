@@ -5,6 +5,10 @@ complex on the ordered positive roots, the order complexes of posets with
 their reduced rational homology, the facet-boundary cycles that give an
 explicit homology basis, and the Moebius number.
 
+A simplex tau_1 < ... < tau_k of the flag complex maps to r(tau_k) ...
+r(tau_1) in NC(W); the map is tabulated once, one product per simplex,
+and its checks and the basis cycles read the table.
+
 Posets are given by their covers: in NC(W), a is covered by a t for each
 reflection t with l(a t) = l(a) + 1 (Brady-Watt).  An order complex has the
 maximal chains grown along the covers as its facets; these, like maximal
@@ -215,13 +219,19 @@ def build_root_complex(system: CoxeterSystem, ordered: OrderedRoots) -> Simplici
     return SimplicialComplex(range(count), facets)
 
 
-def simplex_element(system: CoxeterSystem, ordered: OrderedRoots,
-                    simplex: Sequence[int]) -> int:
-    """Group index of r(tau_k) ... r(tau_1) for the ascending vertex list."""
-    result = system.e_index
-    for v in sorted(simplex, reverse=True):
-        result = system.product(result, ordered.reflection_index[v])
-    return result
+def simplex_images(system: CoxeterSystem, ordered: OrderedRoots,
+                   xc: SimplicialComplex) -> dict[tuple, int]:
+    """Group index of r(tau_k) ... r(tau_1) for every simplex
+    tau_1 < ... < tau_k of the complex: one product per simplex, the image
+    of a simplex being r(tau_k) times the image of the simplex without
+    tau_k, which comes before it in ``all_simplices``."""
+    refl = ordered.reflection_index
+    images: dict[tuple, int] = {}
+    for simplex in xc.all_simplices():
+        last = refl[simplex[-1]]
+        images[simplex] = (system.product(last, images[simplex[:-1]])
+                           if len(simplex) > 1 else last)
+    return images
 
 
 def restricted_complex(system: CoxeterSystem, ordered: OrderedRoots,
@@ -234,15 +244,14 @@ def restricted_complex(system: CoxeterSystem, ordered: OrderedRoots,
     return full_subcomplex(xc, keep)
 
 
-def simplex_length_rule_failures(system: CoxeterSystem, ordered: OrderedRoots,
-                                 xc: SimplicialComplex) -> list[tuple]:
-    """Simplices violating l(r(tau_1)...r(tau_k) c) = n - k."""
+def simplex_length_rule_failures(system: CoxeterSystem,
+                                 images: dict[tuple, int]) -> list[tuple]:
+    """Simplices violating l(r(tau_1)...r(tau_k) c) = n - k, given the
+    simplex images; reflections are involutions, so r(tau_1)...r(tau_k) is
+    the inverse of the image."""
     bad = []
-    for simplex in xc.all_simplices():
-        u = system.e_index
-        for v in simplex:
-            u = system.product(u, ordered.reflection_index[v])
-        u = system.product(u, system.c_index)
+    for simplex, image in images.items():
+        u = system.product(system.inverses[image], system.c_index)
         if system.lengths[u] != system.rank - len(simplex):
             bad.append((simplex, system.lengths[u]))
     return bad
@@ -260,20 +269,19 @@ class PosetMapReport:
                     or self.facet_failures)
 
 
-def poset_map_report(system: CoxeterSystem, ordered: OrderedRoots,
-                     xc: SimplicialComplex) -> PosetMapReport:
-    """Order preservation and grading of the simplex-to-element map."""
+def poset_map_report(system: CoxeterSystem,
+                     images: dict[tuple, int]) -> PosetMapReport:
+    """Order preservation and grading of the simplex-to-element map, given
+    by its table of simplex images."""
     report = PosetMapReport()
-    for simplex in xc.all_simplices():
-        image = simplex_element(system, ordered, simplex)
+    for simplex, image in images.items():
         if system.lengths[image] != len(simplex):
             report.length_failures.append(simplex)
         if len(simplex) == system.rank and image != system.c_index:
             report.facet_failures.append(simplex)
         for drop in range(len(simplex)):
             face = simplex[:drop] + simplex[drop + 1:]
-            if face and not system.precedes(
-                    simplex_element(system, ordered, face), image):
+            if face and not system.precedes(images[face], image):
                 report.monotone_failures.append((face, simplex))
     return report
 
@@ -289,19 +297,20 @@ class FiberReport:
 
 
 def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
-                 xc: SimplicialComplex, ncp: NcpLattice) -> FiberReport:
+                 xc: SimplicialComplex, ncp: NcpLattice,
+                 images: dict[tuple, int]) -> FiberReport:
     """For every proper w: the simplices of the (n-2)-skeleton whose image
-    precedes w are exactly the simplices of the restricted complex.
+    (read from the table of simplex images) precedes w are exactly the
+    simplices of the restricted complex.
     """
     report = FiberReport()
-    skeleton = [s for s in xc.all_simplices() if len(s) <= system.rank - 1]
-    image = {s: simplex_element(system, ordered, s) for s in skeleton}
+    image = {s: u for s, u in images.items() if len(s) <= system.rank - 1}
     # an image inside NC(W) reads the relation from the lattice's down-sets
     in_ncp = {s: ncp.position.get(u) for s, u in image.items()}
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
         down = ncp.below[pos] | 1 << pos
-        lhs = {s for s in skeleton
+        lhs = {s for s in image
                if (down >> in_ncp[s] & 1 if in_ncp[s] is not None
                    else system.precedes(image[s], w))}
         rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
@@ -444,11 +453,12 @@ def betti_numbers(complex_: SimplicialComplex,
 # the explicit homology basis
 # ---------------------------------------------------------------------------
 
-def facet_boundary_cycles(system: CoxeterSystem, ordered: OrderedRoots,
-                          xc: SimplicialComplex, ncp: NcpLattice
+def facet_boundary_cycles(system: CoxeterSystem, xc: SimplicialComplex,
+                          ncp: NcpLattice, images: dict[tuple, int]
                           ) -> list[Chain]:
     """One cycle per facet: the fundamental cycle of the barycentric sphere
-    of the facet boundary, pushed into the order complex of the proper part.
+    of the facet boundary, pushed into the order complex of the proper part
+    by the table of simplex images.
 
     Chains live on the proper part's labels (positions after removing bottom
     and top); each returned chain has zero boundary, and together they have
@@ -466,7 +476,7 @@ def facet_boundary_cycles(system: CoxeterSystem, ordered: OrderedRoots,
             seen = set()
             for k in range(1, n):
                 prefix = tuple(sorted(facet[p] for p in perm[:k]))
-                element = simplex_element(system, ordered, prefix)
+                element = images[prefix]
                 if element in seen:
                     raise ComplexError(
                         "face chain degenerated: map not strictly monotone")

@@ -7,16 +7,18 @@ orthogonal roots), are the standard basis, and geometry is the unit
 W-invariant form B_ij = -cos(pi/m_ij), exact over the field its entries
 generate: Q for types A, D and E, Q(sqrt2) for B and F, Q(sqrt5) for H,
 Q(sqrt3) for G2 and Q(2cos(pi/m)) for I2(m).  Nothing needs a square root,
-and W is finite exactly when B is positive definite.  The rotation c is
-the product of the simple reflections in bipartite order.  The group acts
-on the nh roots, and each element is stored as a permutation of root ids
+and W is finite exactly when B is positive definite.  The group acts on
+the nh roots, and each element is stored as a permutation of root ids
 (the permutation model of CHEVIE/GAP): the group is generated
 breadth-first on integer tuples, and products, inverses and the absolute
-order never touch the number field.  Reflection length is the fixed-space
+order never touch the number field.  The rotation c is the product of the
+simple root permutations in bipartite order, and the reflection of every
+root, with its sign, is read off the breadth-first root orbit by
+conjugating along it.  Reflection length is the fixed-space
 codimension, a class function, so it costs one exact rank per conjugacy
 class; it is cross-checked elsewhere against a breadth-first word oracle.
-The exact matrix of an element, whose columns are the images of the simple
-roots, is built only on demand.
+The exact matrix of an element, c's included, has the images of the
+simple roots as its columns and is built only on demand.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ DEFAULT_GROUP_CAP = 2_000_000
 
 class NotFiniteTypeError(ValueError):
     """The Coxeter matrix does not define a finite reflection group."""
-
-
-class RealizationError(ValueError):
-    """The realized root system fails a structural check."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -306,7 +304,9 @@ class CoxeterSystem:
     acts faithfully on the root system: element ``i`` is the permutation
     ``perms[i]`` of root ids, ``perms[i][k]`` being the id of
     w_i(``roots[k]``); ids ``0..n-1`` are the simple roots and
-    ``negative[k]`` is the id of -``roots[k]``.  Products, inverses,
+    ``negative[k]`` is the id of -``roots[k]``.  ``reflection_of[k]`` is
+    the group index of the reflection in ``roots[k]``, and ``reflections``
+    lists (group index, positive root) by index.  Products, inverses,
     conjugation and the absolute order are integer work; exact matrices are
     built on demand by :meth:`matrix`.  ``lengths``, when given (as read
     back from a cache), replaces the per-class rank computation and must
@@ -325,16 +325,12 @@ class CoxeterSystem:
         _check_positive_definite(self.gram)
         self.identity = Matrix.identity(field, n)
         self.simple_roots = list(self.identity.rows)
-        self.simple_reflections = [self.reflection_matrix(a)
-                                   for a in self.simple_roots]
         # s_i(x) = x - 2 (B x)_i e_i changes coordinate i alone, to the
-        # dot product of x with row i of its matrix
-        self._reflection_rows = [r.rows[i] for i, r in
-                                 enumerate(self.simple_reflections)]
-        c = self.simple_reflections[0]
-        for r in self.simple_reflections[1:]:
-            c = c * r
-        self.coxeter_element = c
+        # dot product of x with e_i - 2 B_i
+        one, zero = field.one, field.zero
+        self._reflection_rows = [
+            tuple((one if i == j else zero) - 2 * b for j, b in enumerate(row))
+            for i, row in enumerate(self.gram.rows)]
         # d_k . a_l = delta_kl makes the dual rays the columns of B^-1,
         # which is symmetric
         self.dual_rays = list(self.gram.inverse().rows)
@@ -343,6 +339,7 @@ class CoxeterSystem:
 
         self._close_roots()
         self._generate_group(group_cap)
+        self.coxeter_element = self.matrix(self.c_index)
         self._find_reflections()
         if lengths is None:
             self.lengths = self._class_lengths()
@@ -416,40 +413,24 @@ class CoxeterSystem:
         self.inverses = [index[_inverse(w)] for w in perms]
 
     def _find_reflections(self):
-        seen = {}   # group index of a reflection -> id of one of its roots
-        queue = []
-        for a, g in enumerate(self.simple_perms):
-            i = self.index_of[g]
-            if i not in seen:
-                seen[i] = a
-                queue.append(i)
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            for g in self.simple_perms:
-                j = self.index_of[_conjugate(g, self.perms[i])]
-                if j not in seen:
-                    seen[j] = g[seen[i]]
-                    queue.append(j)
-        expected = self.rank * self.h // 2
-        if len(seen) != expected:
-            raise RealizationError(
-                f"found {len(seen)} reflections, expected nh/2 = {expected}")
-        self._reflection_of_root_id = [0] * len(self.roots)
-        self.reflections = []
-        for i, k in sorted(seen.items()):
-            if not self._is_positive(self.roots[k]):
-                k = self.negative[k]
-            self._reflection_of_root_id[k] = i
-            self._reflection_of_root_id[self.negative[k]] = i
-            self.reflections.append((i, self.roots[k]))
-
-    def _is_positive(self, root: Vector) -> bool:
-        side = self.form(root, self.interior_point).sign()
-        if side == 0:
-            raise RealizationError("root orthogonal to the chamber interior")
-        return side > 0
+        """The reflection of every root id, read off the root orbit.  The
+        roots are listed breadth-first from the simple roots, so each later
+        root is g_i(k) for an earlier root k, and its reflection is
+        g_i r_k g_i.  s_i negates a_i and permutes the other positive roots,
+        so g_i(k) is positive as k is, unless k is a_i or -a_i."""
+        refl = self.simple_perms + [None] * (len(self.roots) - self.rank)
+        positive = [True] * len(self.roots)
+        for k, r in enumerate(refl):
+            for i, g in enumerate(self.simple_perms):
+                j = g[k]
+                if refl[j] is None:
+                    refl[j] = _conjugate(g, r)
+                    positive[j] = positive[k] != (i in (k, j))
+        self.reflection_of = [self.index_of[r] for r in refl]
+        self.reflections = sorted(
+            ((self.reflection_of[k], root)
+             for k, root in enumerate(self.roots) if positive[k]),
+            key=itemgetter(0))
 
     def _class_lengths(self) -> list[int]:
         """Reflection length l(w) = codim Fix(w) = rank(w - I), a class
@@ -485,9 +466,6 @@ class CoxeterSystem:
         """Absolute order: l(w) == l(u) + l(u^-1 w)."""
         rest = self.product(self.inverses[u], w)
         return self.lengths[w] == self.lengths[u] + self.lengths[rest]
-
-    def reflection_of_root(self, root: Vector) -> int:
-        return self._reflection_of_root_id[self.root_id[root]]
 
     def matrix(self, i: int) -> Matrix:
         """The matrix of element i: its columns are the images w_i(a_j) of

@@ -174,7 +174,7 @@ def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
     is the flat's canonical basis and key).
     """
     position = {i: p for p, (i, _) in enumerate(system.reflections)}
-    of_root = [position[system.reflection_of_root(r)] for r in system.roots]
+    of_root = [position[i] for i in system.reflection_of]
     perms = system.simple_perms
     basis: dict[frozenset[int], tuple[int, ...]] = {}   # w(Phi_J) -> w(J)
     for size in range(system.rank + 1):

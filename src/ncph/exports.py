@@ -55,13 +55,21 @@ def export_xc(bundle: Bundle) -> dict:
 
 
 def export_lattice(bundle: Bundle) -> dict:
-    from .embed import flat_leq
+    from .embed import flat_covers
     flats = bundle.lattice
+    # strict up-sets as bitsets, grown along the covers from the last flat
+    # (covers come later); only the set bits are visited, in ascending order
+    covers = flat_covers(flats)
+    up = [0] * len(flats)
+    for a in reversed(range(len(flats))):
+        for b in covers[a]:
+            up[a] |= up[b] | 1 << b
     order = []
-    for a in range(len(flats)):
-        for b in range(len(flats)):
-            if a != b and flat_leq(flats[a], flats[b]):
-                order.append([a, b])
+    for a, bits in enumerate(up):
+        while bits:
+            low = bits & -bits
+            order.append([a, low.bit_length() - 1])
+            bits ^= low
     return {
         **_header(bundle),
         "flats": [{

@@ -24,7 +24,8 @@ from .arrangement import (DEFAULT_DENOMINATOR_BOUND, GenericVector, chambers,
                           ray_separation_bound)
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         betti_numbers, build_ncp, build_root_complex,
-                        facet_boundary_cycles, order_complex)
+                        facet_boundary_cycles, order_complex,
+                        simplex_images)
 from .coxeter import (DEFAULT_GROUP_CAP, CoxeterDiagram, CoxeterSystem)
 from .embed import EmbeddingReport, VertexComplex, embedding_report, vertex_complex
 from .rootorder import OrderedRoots, ordered_roots
@@ -100,6 +101,10 @@ class Bundle:
         return build_root_complex(self.system, self.ordered)
 
     @cached_property
+    def simplex_images(self) -> dict[tuple, int]:
+        return simplex_images(self.system, self.ordered, self.root_complex)
+
+    @cached_property
     def ncp_order_complex(self) -> SimplicialComplex:
         # proper positions 1..top-1 become labels 0..top-2
         top = self.ncp.top
@@ -148,8 +153,8 @@ class Bundle:
 
     @cached_property
     def basis_cycles(self) -> list:
-        return facet_boundary_cycles(self.system, self.ordered,
-                                     self.root_complex, self.ncp)
+        return facet_boundary_cycles(self.system, self.root_complex,
+                                     self.ncp, self.simplex_images)
 
 
 def build(config: RunConfig) -> Bundle:

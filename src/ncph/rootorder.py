@@ -26,7 +26,6 @@ class OrderedRoots:
     system: CoxeterSystem
     roots: list[Vector]
     reflection_index: list[int]   # group index of the reflection of roots[i]
-    position_of: dict[tuple, int]  # root -> 0-based position
 
     @property
     def count(self) -> int:
@@ -53,17 +52,17 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
         prefix = _compose(prefix, system.simple_perms[i % n])
     roots = [system.roots[k] for k in ids[:total]]
 
-    position_of: dict[tuple, int] = {}
-    for i, rho in enumerate(roots):
+    position: dict[int, int] = {}
+    for i, (k, rho) in enumerate(zip(ids, roots)):
         if system.form(rho, system.interior_point).sign() <= 0:
             raise RootOrderError(f"root {i + 1} in the sequence is not positive")
-        if rho in position_of:
+        if k in position:
             raise RootOrderError(f"duplicate root at positions "
-                                 f"{position_of[rho] + 1} and {i + 1}")
-        position_of[rho] = i
+                                 f"{position[k] + 1} and {i + 1}")
+        position[k] = i
 
-    positive_system = {root for _, root in system.reflections}
-    if set(position_of) != positive_system:
+    positive_system = {system.root_id[root] for _, root in system.reflections}
+    if position.keys() != positive_system:
         raise RootOrderError("sequence does not enumerate the positive system")
 
     # sanity: continuing the recursion for another half period produces the
@@ -82,7 +81,7 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
         if list(power) == system.negative and ids[total:] != negatives:
             raise RootOrderError("half period does not negate despite central -I")
 
-    reflection_index = [system.reflection_of_root(rho) for rho in roots]
+    reflection_index = [system.reflection_of[k] for k in ids[:total]]
 
     tau = roots[-n:]
     if Matrix(system.field, tau).rank() != n:
@@ -93,4 +92,4 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
     if product != system.coxeter_element:
         raise RootOrderError("the last n reflections do not multiply to c")
 
-    return OrderedRoots(system, roots, reflection_index, position_of)
+    return OrderedRoots(system, roots, reflection_index)

@@ -53,8 +53,7 @@ def _suite_rootorder(bundle: Bundle) -> CheckResult:
 
 
 def _suite_lemma48(bundle: Bundle) -> CheckResult:
-    bad = simplex_length_rule_failures(bundle.system, bundle.ordered,
-                                       bundle.root_complex)
+    bad = simplex_length_rule_failures(bundle.system, bundle.simplex_images)
     pure = all(len(f) == bundle.system.rank for f in bundle.root_complex.facets)
     return CheckResult("lemma48", not bad and pure, {
         "violations": len(bad),
@@ -64,7 +63,7 @@ def _suite_lemma48(bundle: Bundle) -> CheckResult:
 
 
 def _suite_poset_map(bundle: Bundle) -> CheckResult:
-    report = poset_map_report(bundle.system, bundle.ordered, bundle.root_complex)
+    report = poset_map_report(bundle.system, bundle.simplex_images)
     return CheckResult("poset-map", report.ok, {
         "monotoneFailures": len(report.monotone_failures),
         "lengthFailures": len(report.length_failures),
@@ -74,7 +73,7 @@ def _suite_poset_map(bundle: Bundle) -> CheckResult:
 
 def _suite_fibers(bundle: Bundle) -> CheckResult:
     report = fiber_report(bundle.system, bundle.ordered, bundle.root_complex,
-                          bundle.ncp)
+                          bundle.ncp, bundle.simplex_images)
     return CheckResult("fibers", report.ok, {
         "properElements": report.checked,
         "mismatches": len(report.mismatches),

@@ -103,9 +103,9 @@ def test_criterion_6_poset_map_and_fibers():
     ok = True
     for label, rank in RANK3:
         bundle = bundle_for(label, rank)
-        pm = poset_map_report(bundle.system, bundle.ordered, bundle.root_complex)
+        pm = poset_map_report(bundle.system, bundle.simplex_images)
         fb = fiber_report(bundle.system, bundle.ordered, bundle.root_complex,
-                          bundle.ncp)
+                          bundle.ncp, bundle.simplex_images)
         ok = ok and pm.ok and fb.ok
     _verdict(6, ok, "order preservation and the fiber identity hold for "
                     "every proper element, all rank <= 3 groups")

@@ -12,8 +12,7 @@ from ncph.complexes import (Chain, ComplexError, SimplicialComplex,
                             build_root_complex, cycle_space_rank,
                             facet_boundary_cycles, fiber_report,
                             full_subcomplex, order_complex, poset_map_report,
-                            restricted_complex, simplex_element,
-                            simplex_length_rule_failures)
+                            restricted_complex, simplex_length_rule_failures)
 from ncph.coxeter import BudgetExceededError
 from ncph.embed import flat_covers, flat_leq, intersection_lattice
 from ncph.fields import rationals
@@ -57,9 +56,17 @@ def test_root_complex_b3_has_ten_facets(b3):
     assert all(len(f) == 3 for f in xc.facets)
 
 
+def _product_chain(system, ordered, simplex):
+    """Reference for the simplex map: r(tau_k) ... r(tau_1) as a chain of
+    products, one per vertex."""
+    result = system.e_index
+    for v in sorted(simplex, reverse=True):
+        result = system.product(result, ordered.reflection_index[v])
+    return result
+
+
 def test_simplex_length_rule(b3):
-    assert simplex_length_rule_failures(b3.system, b3.ordered,
-                                        b3.root_complex) == []
+    assert simplex_length_rule_failures(b3.system, b3.simplex_images) == []
 
 
 def test_restricted_complex_cases(a2):
@@ -78,20 +85,61 @@ def test_restricted_complex_cases(a2):
 
 
 def test_simplex_element_map(a2):
-    system, ordered = a2.system, a2.ordered
+    system, ordered, images = a2.system, a2.ordered, a2.simplex_images
     for i in range(ordered.count):
-        assert simplex_element(system, ordered, (i,)) == ordered.reflection_index[i]
+        assert images[i,] == ordered.reflection_index[i]
     for facet in a2.root_complex.facets:
-        assert simplex_element(system, ordered, facet) == system.c_index
-    report = poset_map_report(system, ordered, a2.root_complex)
+        assert images[facet] == system.c_index
+    report = poset_map_report(system, images)
     assert report.ok
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
+def test_simplex_images_match_the_product_chain(label, rank):
+    bundle = bundle_for(label, rank)
+    system, ordered, xc = bundle.system, bundle.ordered, bundle.root_complex
+    expected = {s: _product_chain(system, ordered, s)
+                for s in xc.all_simplices()}
+    assert bundle.simplex_images == expected
+    assert list(bundle.simplex_images) == xc.all_simplices()
+
+
+def test_map_checks_report_a_doctored_table(b3):
+    """Every facet maps to c, so a facet's image is swapped with that of
+    the ridge without its last vertex; two edges swapped keep every
+    length right and break the order."""
+    system, images = b3.system, b3.simplex_images
+    facet = b3.root_complex.facets[0]
+    ridge = facet[:-1]
+    doctored = dict(images)
+    doctored[facet], doctored[ridge] = images[ridge], images[facet]
+    assert simplex_length_rule_failures(system, doctored) == [
+        (ridge, 0), (facet, 1)]
+    report = poset_map_report(system, doctored)
+    assert report.length_failures == [ridge, facet]
+    assert report.facet_failures == [facet]
+    # the facet now maps to the ridge's old image, of length n - 1, which
+    # neither c nor the other ridges' images precede
+    assert report.monotone_failures == [
+        (facet[:k] + facet[k + 1:], facet) for k in range(len(facet))]
+    assert not report.ok
+
+    first, second = [s for s in images if len(s) == 2][:2]
+    assert images[first] != images[second]
+    doctored = dict(images)
+    doctored[first], doctored[second] = images[second], images[first]
+    report = poset_map_report(system, doctored)
+    assert not report.length_failures and not report.facet_failures
+    assert report.monotone_failures
+    assert simplex_length_rule_failures(system, doctored) == []
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 3)])
 def test_fiber_identity(label, rank):
     bundle = bundle_for(label, rank)
     report = fiber_report(bundle.system, bundle.ordered, bundle.root_complex,
-                          bundle.ncp)
+                          bundle.ncp, bundle.simplex_images)
     assert report.ok
     assert report.checked == bundle.ncp.size - 2
 
@@ -108,11 +156,11 @@ def test_fiber_report_matches_the_precedes_only_left_side(label, rank):
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
         lhs = {s for s in skeleton
-               if system.precedes(simplex_element(system, ordered, s), w)}
+               if system.precedes(_product_chain(system, ordered, s), w)}
         rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
         if lhs != rhs:
             expected.append((w, sorted(lhs ^ rhs)))
-    report = fiber_report(system, ordered, xc, ncp)
+    report = fiber_report(system, ordered, xc, ncp, bundle.simplex_images)
     assert report.mismatches == expected == []
     assert report.checked == ncp.size - 2
 

@@ -112,9 +112,13 @@ def test_permutation_product_indexes_the_matrix_product(label, rank, sample):
     # second route: the integer product on root permutations against exact
     # matrix multiplication of the elements' matrices
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
+    simple = [system.reflection_matrix(a) for a in system.simple_roots]
     for k, g in enumerate(system.simple_perms):
-        assert system.matrix(system.index_of[g]) == system.simple_reflections[k]
-    assert system.matrix(system.c_index) == system.coxeter_element
+        assert system.matrix(system.index_of[g]) == simple[k]
+    c = system.identity
+    for r in simple:
+        c = c * r
+    assert system.matrix(system.c_index) == c
     assert system.matrix(system.e_index) == system.identity
     for i, j in _pairs(system, sample):
         assert system.matrix(system.product(i, j)) \
@@ -214,11 +218,23 @@ def test_c_is_alias_of_b():
             == [c.matrix(i).key() for i in range(c.order)])
 
 
-def test_positive_roots_pair_with_reflections():
-    system = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("label,rank", [
+    ("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4),
+    ("H", 4), ("G", 2), ("I", 7)])
+def test_positive_roots_pair_with_reflections(label, rank, swap):
+    # second route for the reflections read off the root orbit: the sign of
+    # each root against the chamber interior, and its exact matrix
+    system = bundle_for(label, rank, swap).system
+    assert len(system.reflections) == system.rank * system.h // 2
+    assert [t for t, _ in system.reflections] == sorted(
+        {t for t, _ in system.reflections})
     for t, root in system.reflections:
         assert system.lengths[t] == 1
         assert system.form(root, root) == system.field.one
         assert system.form(root, system.interior_point).sign() > 0
         assert all(x.sign() >= 0 for x in root)
         assert system.reflection_matrix(root) == system.matrix(t)
+        k = system.root_id[root]
+        assert system.reflection_of[k] == system.reflection_of[
+            system.negative[k]] == t
