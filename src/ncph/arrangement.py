@@ -27,6 +27,7 @@ from functools import reduce
 from typing import Optional
 
 from .coxeter import CoxeterSystem
+from .fields import Scalar
 from .linalg import Vector, dot, vec_add, vec_key, vec_scale
 
 DEFAULT_DENOMINATOR_BOUND = 64
@@ -115,8 +116,16 @@ class GenericVector:
     base: Fraction
 
 
+def ray_norms(system: CoxeterSystem, rays: list[Vector]) -> list[Scalar]:
+    """r . r for each ray."""
+    return [system.form(r, r) for r in rays]
+
+
 def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
-                   rays: Optional[list[Vector]] = None) -> GenericVector:
+                   rays: Optional[list[Vector]] = None,
+                   norms: Optional[list[Scalar]] = None) -> GenericVector:
+    """The slice direction; with ``rays`` (and their ``ray_norms``, taken
+    here when not given) the separation inequality is checked on each."""
     if lam <= 0:
         raise GenericityError("separation bound must be positive")
     a = 1 + 1 / lam
@@ -130,12 +139,14 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
     if dot(v, co).sign() <= 0:
         raise GenericityError("slice direction has nonpositive norm")
     if rays is not None:
+        if norms is None:
+            norms = ray_norms(system, rays)
         lam2 = lam * lam
-        for ray in rays:
+        for ray, norm in zip(rays, norms):
             p = dot(ray, co)
             if p.sign() == 0:
                 raise GenericityError("a ray lies on the slice hyperplane")
-            slack = p * p - system.form(ray, ray) * lam2
+            slack = p * p - norm * lam2
             if slack.sign() < 0:
                 raise GenericityError("separation inequality failed for a ray")
     return GenericVector(v, lam, a)
@@ -166,7 +177,7 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
     reflections, ids(s w) = s(ids(w)).
     """
     table, act = system.orbit_rays
-    simple = [system.index_of[g] for g in system.simple_perms]
+    simple = [system.index_of[g[:system.rank]] for g in system.simple_perms]
     ids = {system.e_index: tuple(range(system.rank))}
     queue = [system.e_index]
     for w in queue:

@@ -301,19 +301,28 @@ def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
                  images: dict[tuple, int]) -> FiberReport:
     """For every proper w: the simplices of the (n-2)-skeleton whose image
     (read from the table of simplex images) precedes w are exactly the
-    simplices of the restricted complex.
+    simplices of the restricted complex, the full subcomplex on the roots
+    whose reflections precede w.
+
+    Both sides are read from the lattice's down-sets: every reflection lies
+    in NC(W), so t <= w is one bit of w's down-set, and the restricted
+    complex holds the simplices whose vertices all lie in the kept set.
     """
     report = FiberReport()
     image = {s: u for s, u in images.items() if len(s) <= system.rank - 1}
     # an image inside NC(W) reads the relation from the lattice's down-sets
     in_ncp = {s: ncp.position.get(u) for s, u in image.items()}
+    vertex_position = [ncp.position[t] for t in ordered.reflection_index]
+    masks = {s: sum(1 << v for v in s) for s in images}
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
         down = ncp.below[pos] | 1 << pos
         lhs = {s for s in image
                if (down >> in_ncp[s] & 1 if in_ncp[s] is not None
                    else system.precedes(image[s], w))}
-        rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
+        keep = sum(1 << v for v, p in enumerate(vertex_position)
+                   if down >> p & 1)
+        rhs = {s for s, mask in masks.items() if mask & keep == mask}
         if lhs != rhs:
             report.mismatches.append((w, sorted(lhs ^ rhs)))
         report.checked += 1

@@ -9,9 +9,12 @@ generate: Q for types A, D and E, Q(sqrt2) for B and F, Q(sqrt5) for H,
 Q(sqrt3) for G2 and Q(2cos(pi/m)) for I2(m).  Nothing needs a square root,
 and W is finite exactly when B is positive definite.  The group acts on
 the nh roots, and each element is stored as a permutation of root ids
-(the permutation model of CHEVIE/GAP): the group is generated
-breadth-first on integer tuples, and products, inverses and the absolute
-order never touch the number field.  The rotation c is the product of the
+(the permutation model of CHEVIE/GAP).  A linear map is fixed by the
+images of a basis, so an element is keyed by the ids of its n columns
+w(a_1), ..., w(a_n): the group is generated breadth-first on those keys,
+composing a full permutation once per new element, and a product, an
+inverse or a conjugate is n id lookups and one table lookup.  None of it
+touches the number field.  The rotation c is the product of the
 simple root permutations in bipartite order, and the reflection of every
 root, with its sign, is read off the breadth-first root orbit by
 conjugating along it.  Reflection length is the fixed-space
@@ -273,11 +276,12 @@ def _conjugate(g: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
     return _compose(g, _compose(w, g))
 
 
-def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for k, image in enumerate(w):
-        inv[image] = k
-    return tuple(inv)
+def _getter(rank: int):
+    """``itemgetter`` for the keys of a system of this rank:
+    ``_getter(rank)(*ids)(w)`` is the tuple of the w(k), k in ids.  With a
+    single id ``itemgetter`` returns a bare item, so rank 1 gets its own
+    getter and its keys stay tuples."""
+    return itemgetter if rank > 1 else lambda k: lambda w: (w[k],)
 
 
 def _order(w: tuple[int, ...]) -> int:
@@ -304,13 +308,17 @@ class CoxeterSystem:
     acts faithfully on the root system: element ``i`` is the permutation
     ``perms[i]`` of root ids, ``perms[i][k]`` being the id of
     w_i(``roots[k]``); ids ``0..n-1`` are the simple roots and
-    ``negative[k]`` is the id of -``roots[k]``.  ``reflection_of[k]`` is
-    the group index of the reflection in ``roots[k]``, and ``reflections``
-    lists (group index, positive root) by index.  Products, inverses,
-    conjugation and the absolute order are integer work; exact matrices are
-    built on demand by :meth:`matrix`.  ``lengths``, when given (as read
-    back from a cache), replaces the per-class rank computation and must
-    have one entry per element.
+    ``negative[k]`` is the id of -``roots[k]``.  An element is fixed by
+    its columns, so its key ``keys[i] = perms[i][:n]`` lists the ids of
+    w_i(a_1), ..., w_i(a_n), and ``index_of`` maps a key to its index.
+    Element 0 is e, and elements 1..n are the simple reflections.
+    ``reflection_of[k]`` is the group index of the reflection in
+    ``roots[k]``, and ``reflections`` lists (group index, positive root) by
+    index.  Products, inverses, conjugation and the absolute order are
+    integer work on keys; exact matrices are built on demand by
+    :meth:`matrix`.  ``lengths``, when given (as read back from a cache),
+    replaces the per-class rank computation and must have one entry per
+    element.
     """
 
     def __init__(self, diagram: CoxeterDiagram, swap_classes: bool = False,
@@ -335,7 +343,7 @@ class CoxeterSystem:
         # which is symmetric
         self.dual_rays = list(self.gram.inverse().rows)
         self.interior_point = reduce(vec_add, self.dual_rays)
-        self._matrices: dict[int, Matrix] = {}
+        self._getter = _getter(n)
 
         self._close_roots()
         self._generate_group(group_cap)
@@ -387,30 +395,35 @@ class CoxeterSystem:
         return rays, perms
 
     def _generate_group(self, cap: int):
+        """Breadth-first from e over right multiplication by the simple
+        reflections.  The key of w r is w(r(a_1)), ..., w(r(a_n)), n
+        lookups in w; the full permutation w r is composed only when that
+        key is new."""
+        n, getter = self.rank, self._getter
         identity = tuple(range(len(self.roots)))
-        perms = [identity]
-        index = {identity: 0}
+        perms, keys = [identity], [identity[:n]]
+        index = {keys[0]: 0}
+        steps = [(r, getter(*r[:n])) for r in self.simple_perms]
         head = 0
         while head < len(perms):
             w = perms[head]
             head += 1
-            for r in self.simple_perms:
-                p = _compose(w, r)
-                if p not in index:
+            for r, step in steps:
+                key = step(w)
+                if key not in index:
                     if len(perms) >= cap:
                         raise BudgetExceededError(
                             f"group generation exceeded cap {cap}")
-                    index[p] = len(perms)
-                    perms.append(p)
-        self.perms = perms
-        self.index_of = index
+                    index[key] = len(perms)
+                    keys.append(key)
+                    perms.append(_compose(w, r))
+        self.perms, self.keys, self.index_of = perms, keys, index
         self.e_index = 0
-        c = self.simple_perms[0]
-        for r in self.simple_perms[1:]:
-            c = _compose(c, r)
-        self.c_index = index[c]
+        c = reduce(_compose, self.simple_perms)
+        self.c_index = index[c[:n]]
         self.h = _order(c)
-        self.inverses = [index[_inverse(w)] for w in perms]
+        # w^-1(a_j) is the root whose id w sends to j
+        self.inverses = [index[tuple(map(w.index, range(n)))] for w in perms]
 
     def _find_reflections(self):
         """The reflection of every root id, read off the root orbit.  The
@@ -426,7 +439,7 @@ class CoxeterSystem:
                 if refl[j] is None:
                     refl[j] = _conjugate(g, r)
                     positive[j] = positive[k] != (i in (k, j))
-        self.reflection_of = [self.index_of[r] for r in refl]
+        self.reflection_of = [self.index_of[r[:self.rank]] for r in refl]
         self.reflections = sorted(
             ((self.reflection_of[k], root)
              for k, root in enumerate(self.roots) if positive[k]),
@@ -435,18 +448,21 @@ class CoxeterSystem:
     def _class_lengths(self) -> list[int]:
         """Reflection length l(w) = codim Fix(w) = rank(w - I), a class
         function: one exact rank per conjugacy class, spread over the class
-        by conjugating with the simple reflections.  The vectors w(a_j) - a_j
-        are the columns of w - I in simple-root coordinates."""
+        by conjugating with the simple reflections, whose key s w s (a_j) =
+        s(w(s(a_j))) is read off the permutations.  The vectors
+        w(a_j) - a_j are the columns of w - I in simple-root coordinates."""
+        n, getter = self.rank, self._getter
+        perms, index = self.perms, self.index_of
+        inner = [(getter(*g[:n]), g) for g in self.simple_perms]
         lengths = [-1] * self.order
-        for start, w in enumerate(self.perms):
+        for start, key in enumerate(self.keys):
             if lengths[start] >= 0:
                 continue
             value = Matrix(self.field, [
-                vec_sub(self.roots[w[j]], self.roots[j])
-                for j in range(self.rank)]).rank()
+                vec_sub(self.roots[k], self.roots[j])
+                for j, k in enumerate(key)]).rank()
             for y in closure([start], lambda x: [
-                    self.index_of[_conjugate(g, self.perms[x])]
-                    for g in self.simple_perms]):
+                    index[getter(*step(perms[x]))(g)] for step, g in inner]):
                 lengths[y] = value
         return lengths
 
@@ -460,7 +476,8 @@ class CoxeterSystem:
         return self.lengths[i]
 
     def product(self, i: int, j: int) -> int:
-        return self.index_of[_compose(self.perms[i], self.perms[j])]
+        """w_i w_j, whose key is w_i applied to the key of w_j."""
+        return self.index_of[self._getter(*self.keys[j])(self.perms[i])]
 
     def precedes(self, u: int, w: int) -> bool:
         """Absolute order: l(w) == l(u) + l(u^-1 w)."""
@@ -470,13 +487,8 @@ class CoxeterSystem:
     def matrix(self, i: int) -> Matrix:
         """The matrix of element i: its columns are the images w_i(a_j) of
         the simple roots."""
-        m = self._matrices.get(i)
-        if m is None:
-            w = self.perms[i]
-            m = self._matrices[i] = Matrix(
-                self.field, [self.roots[w[j]] for j in range(self.rank)]
-            ).transpose()
-        return m
+        return Matrix(self.field,
+                      [self.roots[k] for k in self.keys[i]]).transpose()
 
     @cached_property
     def _root_rank(self) -> list[int]:
@@ -490,8 +502,8 @@ class CoxeterSystem:
     def element_sort_key(self, i: int):
         """(length, the keys of the columns w_i(a_1), ..., w_i(a_n) of its
         matrix), read off root ids: the columns determine the element."""
-        w, rank = self.perms[i], self._root_rank
-        return (self.lengths[i], tuple(rank[w[j]] for j in range(self.rank)))
+        rank = self._root_rank
+        return (self.lengths[i], tuple(rank[k] for k in self.keys[i]))
 
     def bfs_reflection_lengths(self) -> list[int]:
         """Independent oracle: minimal word length over all reflections."""

@@ -302,7 +302,7 @@ def _walk_facets(system: CoxeterSystem, vc: VertexComplex,
     then crosses every panel that is not a wall.
     """
     perms, pairing = system.perms, vc.pairing
-    simple = [system.index_of[g] for g in system.simple_perms]
+    simple = [system.index_of[g[:system.rank]] for g in system.simple_perms]
     position = {c.element: pos for pos, c in enumerate(chamber_list)}
     root_position = [None] * len(system.roots)   # id -> (ordered pos, +-1)
     for j, rho in enumerate(vc.roots):

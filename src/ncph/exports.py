@@ -31,11 +31,14 @@ def _header(bundle: Bundle) -> dict:
 def export_ncp(bundle: Bundle) -> dict:
     ncp = bundle.ncp
     system = bundle.system
+    # row i of an element's matrix is coordinate i of its columns, the
+    # roots w(a_1), ..., w(a_n): each root is serialized once
+    roots = [serialize.vector(r) for r in system.roots]
     elements = [{
         "id": pos,
         "length": ncp.length(pos),
-        "matrix": serialize.matrix(system.matrix(ncp.elements[pos])),
-    } for pos in range(ncp.size)]
+        "matrix": list(zip(*(roots[k] for k in system.keys[w]))),
+    } for pos, w in enumerate(ncp.elements)]
     return {
         **_header(bundle),
         "elements": elements,

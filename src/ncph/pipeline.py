@@ -21,7 +21,7 @@ from typing import Optional
 from . import embed
 from .arrangement import (DEFAULT_DENOMINATOR_BOUND, GenericVector, chambers,
                           bounded_slice, enumerate_rays, generic_vector,
-                          ray_separation_bound)
+                          ray_norms, ray_separation_bound)
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         betti_numbers, build_ncp, build_root_complex,
                         facet_boundary_cycles, order_complex,
@@ -120,13 +120,17 @@ class Bundle:
         return enumerate_rays(self.system)
 
     @cached_property
+    def ray_norms(self) -> list:
+        return ray_norms(self.system, self.rays)
+
+    @cached_property
     def separation(self) -> Fraction:
         return ray_separation_bound(self.system, self.config.lambda_denominator)
 
     @cached_property
     def generic(self) -> GenericVector:
         return generic_vector(self.system, self.ordered.tau, self.separation,
-                              self.rays)
+                              self.rays, self.ray_norms)
 
     @cached_property
     def chamber_list(self) -> list:

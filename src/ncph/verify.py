@@ -109,11 +109,11 @@ def _suite_prop41(bundle: Bundle) -> CheckResult:
     violations = 0
     system = bundle.system
     co = system.lower(v)
-    for ray in bundle.rays:
+    for ray, norm in zip(bundle.rays, bundle.ray_norms):
         p = dot(ray, co)
         if p.sign() == 0:
             zeros += 1
-        if (p * p - system.form(ray, ray) * lam2).sign() < 0:
+        if (p * p - norm * lam2).sign() < 0:
             violations += 1
     return CheckResult("prop41", zeros == 0 and violations == 0, {
         "rays": len(bundle.rays),

@@ -144,25 +144,45 @@ def test_fiber_identity(label, rank):
     assert report.checked == bundle.ncp.size - 2
 
 
-@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
-def test_fiber_report_matches_the_precedes_only_left_side(label, rank):
-    """The left side read from the NC(W) down-sets, against one
-    ``precedes`` call per (simplex, w) pair."""
-    bundle = bundle_for(label, rank)
+def _reference_fibers(bundle, images):
+    """The fiber mismatches with one ``precedes`` call per (simplex, w)
+    pair on the left and ``restricted_complex`` on the right."""
     system, ordered, xc, ncp = (bundle.system, bundle.ordered,
                                 bundle.root_complex, bundle.ncp)
     skeleton = [s for s in xc.all_simplices() if len(s) <= system.rank - 1]
-    expected = []
+    mismatches = []
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
-        lhs = {s for s in skeleton
-               if system.precedes(_product_chain(system, ordered, s), w)}
+        lhs = {s for s in skeleton if system.precedes(images[s], w)}
         rhs = set(restricted_complex(system, ordered, xc, w).all_simplices())
         if lhs != rhs:
-            expected.append((w, sorted(lhs ^ rhs)))
+            mismatches.append((w, sorted(lhs ^ rhs)))
+    return mismatches
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
+def test_fiber_report_matches_the_precedes_only_left_side(label, rank):
+    """Both sides read from the NC(W) down-sets, against one ``precedes``
+    call per (simplex, w) pair and the restricted complex."""
+    bundle = bundle_for(label, rank)
+    system, ordered, xc, ncp = (bundle.system, bundle.ordered,
+                                bundle.root_complex, bundle.ncp)
+    chain = {s: _product_chain(system, ordered, s) for s in xc.all_simplices()}
     report = fiber_report(system, ordered, xc, ncp, bundle.simplex_images)
-    assert report.mismatches == expected == []
+    assert report.mismatches == _reference_fibers(bundle, chain) == []
     assert report.checked == ncp.size - 2
+
+
+def test_fiber_report_reports_a_doctored_table(b3):
+    """Two edges with swapped images each fall into the other's fibers."""
+    images = b3.simplex_images
+    first, second = [s for s in images if len(s) == 2][:2]
+    doctored = dict(images)
+    doctored[first], doctored[second] = images[second], images[first]
+    report = fiber_report(b3.system, b3.ordered, b3.root_complex, b3.ncp,
+                          doctored)
+    assert report.mismatches == _reference_fibers(b3, doctored)
+    assert report.mismatches
 
 
 def test_order_complex_antichain_and_chain():

@@ -94,7 +94,7 @@ def test_reflection_lengths():
 
 
 @pytest.mark.parametrize("label,rank", [
-    ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+    ("A", 1), ("I", 5), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
     ("H", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
 def test_length_equals_bfs_word_length(label, rank):
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
@@ -106,15 +106,24 @@ def _pairs(system, sample):
     return everything if sample is None else random.Random(4).sample(everything, sample)
 
 
-@pytest.mark.parametrize("label,rank,sample", [("B", 3, None), ("H", 3, None),
-                                               ("F", 4, 400)])
+@pytest.mark.parametrize("label,rank,sample", [
+    ("A", 1, None), ("I", 5, None), ("B", 3, None), ("H", 3, None),
+    ("F", 4, 400)])
 def test_permutation_product_indexes_the_matrix_product(label, rank, sample):
     # second route: the integer product on root permutations against exact
     # matrix multiplication of the elements' matrices
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
+    n = system.rank
+    assert all(type(key) is tuple and len(key) == n
+               for key in system.index_of)
+    assert [system.index_of[w[:n]] for w in system.perms] \
+        == list(range(system.order))
     simple = [system.reflection_matrix(a) for a in system.simple_roots]
+    # breadth-first from e, the simple reflections are elements 1..n
     for k, g in enumerate(system.simple_perms):
-        assert system.matrix(system.index_of[g]) == simple[k]
+        assert system.index_of[g[:n]] == k + 1
+        assert system.perms[k + 1] == g
+        assert system.matrix(k + 1) == simple[k]
     c = system.identity
     for r in simple:
         c = c * r
