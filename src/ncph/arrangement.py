@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
+from typing import Iterable, Optional
 
 from .coxeter import CoxeterSystem
 from .fields import Scalar
@@ -116,16 +116,11 @@ class GenericVector:
     base: Fraction
 
 
-def ray_norms(system: CoxeterSystem, rays: list[Vector]) -> list[Scalar]:
-    """r . r for each ray."""
-    return [system.form(r, r) for r in rays]
-
-
 def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
-                   rays: Optional[list[Vector]] = None,
-                   norms: Optional[list[Scalar]] = None) -> GenericVector:
-    """The slice direction; with ``rays`` (and their ``ray_norms``, taken
-    here when not given) the separation inequality is checked on each."""
+                   rays: Optional[Iterable[tuple[Vector, Scalar]]] = None
+                   ) -> GenericVector:
+    """The slice direction; with ``rays``, (ray, r . r) pairs, the
+    separation inequality is checked on each ray."""
     if lam <= 0:
         raise GenericityError("separation bound must be positive")
     a = 1 + 1 / lam
@@ -139,10 +134,8 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
     if dot(v, co).sign() <= 0:
         raise GenericityError("slice direction has nonpositive norm")
     if rays is not None:
-        if norms is None:
-            norms = ray_norms(system, rays)
         lam2 = lam * lam
-        for ray, norm in zip(rays, norms):
+        for ray, norm in rays:
             p = dot(ray, co)
             if p.sign() == 0:
                 raise GenericityError("a ray lies on the slice hyperplane")

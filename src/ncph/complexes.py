@@ -313,7 +313,7 @@ def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
     # an image inside NC(W) reads the relation from the lattice's down-sets
     in_ncp = {s: ncp.position.get(u) for s, u in image.items()}
     vertex_position = [ncp.position[t] for t in ordered.reflection_index]
-    masks = {s: sum(1 << v for v in s) for s in images}
+    masks = {s: sum(1 << v for v in s) for s in xc.all_simplices()}
     for pos in ncp.proper_positions():
         w = ncp.elements[pos]
         down = ncp.below[pos] | 1 << pos

@@ -21,7 +21,7 @@ from typing import Optional
 from . import embed
 from .arrangement import (DEFAULT_DENOMINATOR_BOUND, GenericVector, chambers,
                           bounded_slice, enumerate_rays, generic_vector,
-                          ray_norms, ray_separation_bound)
+                          ray_separation_bound)
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         betti_numbers, build_ncp, build_root_complex,
                         facet_boundary_cycles, order_complex,
@@ -121,7 +121,7 @@ class Bundle:
 
     @cached_property
     def ray_norms(self) -> list:
-        return ray_norms(self.system, self.rays)
+        return [self.system.form(r, r) for r in self.rays]
 
     @cached_property
     def separation(self) -> Fraction:
@@ -130,7 +130,7 @@ class Bundle:
     @cached_property
     def generic(self) -> GenericVector:
         return generic_vector(self.system, self.ordered.tau, self.separation,
-                              self.rays, self.ray_norms)
+                              zip(self.rays, self.ray_norms))
 
     @cached_property
     def chamber_list(self) -> list:

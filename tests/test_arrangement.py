@@ -85,7 +85,8 @@ def test_generic_vector_rejects_bad_bound(a2):
         generic_vector(a2.system, a2.ordered.tau, Fraction(0))
     with pytest.raises(GenericityError):
         # a wildly large bound fails the exact re-verification
-        generic_vector(a2.system, a2.ordered.tau, Fraction(10), a2.rays)
+        generic_vector(a2.system, a2.ordered.tau, Fraction(10),
+                       zip(a2.rays, a2.ray_norms))
 
 
 def test_bounded_slice_counts(a2, b3):

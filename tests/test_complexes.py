@@ -185,6 +185,18 @@ def test_fiber_report_reports_a_doctored_table(b3):
     assert report.mismatches
 
 
+def test_fiber_report_reports_a_table_missing_a_simplex(b3):
+    """The right side comes from the complex, so a simplex the table lacks
+    shows up in every fiber that holds it."""
+    images = dict(b3.simplex_images)
+    edge = next(s for s in images if len(s) == 2)
+    del images[edge]
+    report = fiber_report(b3.system, b3.ordered, b3.root_complex, b3.ncp,
+                          images)
+    assert report.mismatches
+    assert all(diff == [edge] for _, diff in report.mismatches)
+
+
 def test_order_complex_antichain_and_chain():
     antichain = order_complex([[], [], []])
     assert antichain.facets == ((0,), (1,), (2,))
