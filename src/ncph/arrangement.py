@@ -73,8 +73,11 @@ def ray_separation_bound(system: CoxeterSystem,
                          ) -> Fraction:
     """A rational 0 < lam with lam^2 <= ``separation_minimum``; the largest
     p/q with q <= max_denominator (escalating the bound if the minimum is
-    smaller than 1/max_denominator).
+    smaller than 1/max_denominator).  The bound must be at least 1.
     """
+    if max_denominator < 1:
+        raise ValueError(f"denominator bound must be at least 1, "
+                         f"not {max_denominator}")
     minimum = separation_minimum(system)
     qmax = max_denominator
     while True:
@@ -117,10 +120,9 @@ class GenericVector:
 
 
 def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
-                   rays: Optional[Iterable[tuple[Vector, Scalar]]] = None
-                   ) -> GenericVector:
-    """The slice direction; with ``rays``, (ray, r . r) pairs, the
-    separation inequality is checked on each ray."""
+                   rays: Iterable[tuple[Vector, Scalar]]) -> GenericVector:
+    """The slice direction; the separation inequality is checked on each
+    of the ``rays``, given as (ray, r . r) pairs."""
     if lam <= 0:
         raise GenericityError("separation bound must be positive")
     a = 1 + 1 / lam
@@ -133,15 +135,14 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
     co = system.lower(v)
     if dot(v, co).sign() <= 0:
         raise GenericityError("slice direction has nonpositive norm")
-    if rays is not None:
-        lam2 = lam * lam
-        for ray, norm in rays:
-            p = dot(ray, co)
-            if p.sign() == 0:
-                raise GenericityError("a ray lies on the slice hyperplane")
-            slack = p * p - norm * lam2
-            if slack.sign() < 0:
-                raise GenericityError("separation inequality failed for a ray")
+    lam2 = lam * lam
+    for ray, norm in rays:
+        p = dot(ray, co)
+        if p.sign() == 0:
+            raise GenericityError("a ray lies on the slice hyperplane")
+        slack = p * p - norm * lam2
+        if slack.sign() < 0:
+            raise GenericityError("separation inequality failed for a ray")
     return GenericVector(v, lam, a)
 
 

@@ -49,12 +49,23 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
                         help="do not read or write the on-disk system cache")
 
 
+def _read_matrix(path: Path) -> tuple[tuple[int, ...], ...]:
+    """The Coxeter matrix in a JSON file: a list of rows, each a list of
+    integers (not booleans, floats or strings)."""
+    rows = json.loads(path.read_text())
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(e) is int for e in row)
+            for row in rows)):
+        raise ValueError(f"{path}: a Coxeter matrix is a JSON list of rows "
+                         "of integers")
+    return tuple(tuple(row) for row in rows)
+
+
 def _config(args) -> RunConfig:
     matrix = None
     type_label, rank = args.type, args.rank
     if args.matrix:
-        rows = json.loads(Path(args.matrix).read_text())
-        matrix = tuple(tuple(int(e) for e in row) for row in rows)
+        matrix = _read_matrix(Path(args.matrix))
         type_label, rank = "custom", len(matrix)
     elif type_label is None or rank is None:
         raise SystemExit("error: give TYPE and RANK, or --matrix FILE")

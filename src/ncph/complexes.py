@@ -9,28 +9,34 @@ A simplex tau_1 < ... < tau_k of the flag complex maps to r(tau_k) ...
 r(tau_1) in NC(W); the map is tabulated once, one product per simplex,
 and its checks and the basis cycles read the table.
 
-Posets are given by their covers: in NC(W), a is covered by a t for each
-reflection t with l(a t) = l(a) + 1 (Brady-Watt).  An order complex has the
-maximal chains grown along the covers as its facets; these, like maximal
-cliques, are never nested, so a complex takes its facets as given.
+NC(W) is grown down from c: [e, c] is closed downward and graded by
+reflection length (Bessis; Brady-Watt), so the steps w -> w t that lower
+the length by one reach all of it, and reversed they are its covers.  No
+element of W outside [e, c] is ever visited.  Posets are given by their
+covers, and order questions inside NC(W) read the down-sets grown from
+them.  An order complex has the maximal chains grown along the covers as
+its facets; these, like maximal cliques, are never nested, so a complex
+takes its facets as given.
 
 Homology is computed over the rationals from exact ranks of the sparse
-boundary matrices, found by column reduction.
-The reduced chain complex carries the empty simplex in degree -1, so the
-degenerate rank-1 cases fall out of the same formulas.
+integer boundary matrices, found by fraction-free column reduction.  The
+reduced chain complex carries the empty simplex in degree -1, so the
+degenerate rank-1 cases fall out of the same formulas.  Chains are
+``{simplex: int}`` dicts; the basis cycles live in the top dimension,
+where no boundaries lie, so their rank in homology is the rank of their
+columns over the top faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import gcd
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
-from .coxeter import BudgetExceededError, CoxeterSystem
+from .coxeter import BudgetExceededError, CoxeterSystem, closure
 from .rootorder import OrderedRoots
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
@@ -176,17 +182,28 @@ class NcpLattice:
 
 
 def build_ncp(system: CoxeterSystem) -> NcpLattice:
-    """The interval [e, c], with a covered by a t for each reflection t that
-    keeps a t inside it and raises the length by one."""
-    members = [i for i in range(system.order) if system.precedes(i, system.c_index)]
+    """The interval [e, c], grown down from c.  It is closed downward and
+    graded by reflection length, so the steps w -> w t that lower the
+    length by one reach all of it from c, and reversed they are its
+    covers: u is covered by u t exactly when l(u t) = l(u) + 1 and u t
+    lies in the interval."""
+    lengths = system.lengths
+    reflections = [t for t, _ in system.reflections]
+    steps: dict[int, list[int]] = {}
+
+    def down(w: int) -> list[int]:
+        below = [u for u in (system.product(w, t) for t in reflections)
+                 if lengths[u] == lengths[w] - 1]
+        steps[w] = below
+        return below
+
+    members = closure([system.c_index], down)
     members.sort(key=system.element_sort_key)
     position = {g: p for p, g in enumerate(members)}
-    lengths = system.lengths
-    covers = []
-    for a in members:
-        ups = (system.product(a, t) for t, _ in system.reflections)
-        covers.append(sorted(position[b] for b in ups if b in position
-                             and lengths[b] == lengths[a] + 1))
+    covers: list[list[int]] = [[] for _ in members]
+    for p, w in enumerate(members):
+        for u in steps[w]:
+            covers[position[u]].append(p)
     lattice = NcpLattice(system, members, position, covers)
     if lattice.length(lattice.bottom) != 0 or lattice.length(lattice.top) != system.rank:
         raise ComplexError("interval is not graded from e to c")
@@ -296,35 +313,33 @@ class FiberReport:
         return not self.mismatches
 
 
-def fiber_report(system: CoxeterSystem, ordered: OrderedRoots,
-                 xc: SimplicialComplex, ncp: NcpLattice,
-                 images: dict[tuple, int]) -> FiberReport:
+def fiber_report(ordered: OrderedRoots, xc: SimplicialComplex,
+                 ncp: NcpLattice, images: dict[tuple, int]) -> FiberReport:
     """For every proper w: the simplices of the (n-2)-skeleton whose image
     (read from the table of simplex images) precedes w are exactly the
     simplices of the restricted complex, the full subcomplex on the roots
     whose reflections precede w.
 
-    Both sides are read from the lattice's down-sets: every reflection lies
-    in NC(W), so t <= w is one bit of w's down-set, and the restricted
-    complex holds the simplices whose vertices all lie in the kept set.
+    Both sides are read from the lattice's down-sets.  An image below w
+    lies below c, so the left side is the images whose NC(W) position is a
+    bit of w's down-set; an image outside NC(W) precedes no w.  Every
+    reflection lies in NC(W), so t <= w is one bit of w's down-set, and
+    the restricted complex holds the simplices whose vertices all lie in
+    the kept set.
     """
     report = FiberReport()
-    image = {s: u for s, u in images.items() if len(s) <= system.rank - 1}
-    # an image inside NC(W) reads the relation from the lattice's down-sets
-    in_ncp = {s: ncp.position.get(u) for s, u in image.items()}
+    placed = {s: ncp.position[u] for s, u in images.items()
+              if len(s) < ncp.system.rank and u in ncp.position}
     vertex_position = [ncp.position[t] for t in ordered.reflection_index]
     masks = {s: sum(1 << v for v in s) for s in xc.all_simplices()}
     for pos in ncp.proper_positions():
-        w = ncp.elements[pos]
         down = ncp.below[pos] | 1 << pos
-        lhs = {s for s in image
-               if (down >> in_ncp[s] & 1 if in_ncp[s] is not None
-                   else system.precedes(image[s], w))}
+        lhs = {s for s, p in placed.items() if down >> p & 1}
         keep = sum(1 << v for v, p in enumerate(vertex_position)
                    if down >> p & 1)
         rhs = {s for s, mask in masks.items() if mask & keep == mask}
         if lhs != rhs:
-            report.mismatches.append((w, sorted(lhs ^ rhs)))
+            report.mismatches.append((ncp.elements[pos], sorted(lhs ^ rhs)))
         report.checked += 1
     return report
 
@@ -354,42 +369,18 @@ def order_complex(covers: list[list[int]]) -> SimplicialComplex:
     return SimplicialComplex(range(len(covers)), chains)
 
 
-class Chain:
-    """Formal rational combination of oriented simplices (sorted tuples)."""
-
-    def __init__(self, coefficients: Optional[dict] = None):
-        self.coefficients = {k: Fraction(v) for k, v in (coefficients or {}).items()
-                             if v != 0}
-
-    def add_term(self, simplex: tuple, coeff) -> None:
-        new = self.coefficients.get(simplex, Fraction(0)) + coeff
-        if new:
-            self.coefficients[simplex] = new
-        else:
-            self.coefficients.pop(simplex, None)
-
-    def boundary(self) -> "Chain":
-        out = Chain()
-        for simplex, coeff in self.coefficients.items():
-            if len(simplex) == 0:
-                continue
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1:]
-                out.add_term(face, coeff if i % 2 == 0 else -coeff)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def support_dim(self) -> int:
-        return max((len(s) - 1 for s in self.coefficients), default=-2)
-
-    def __repr__(self):
-        return f"Chain({len(self.coefficients)} terms, dim {self.support_dim()})"
+def boundary(chain: dict[tuple, int]) -> dict[tuple, int]:
+    """The boundary of an integer chain of oriented simplices (sorted
+    tuples), without zero terms; the empty simplex has none."""
+    out: dict[tuple, int] = {}
+    for simplex, coeff in chain.items():
+        for i in range(len(simplex)):
+            face = simplex[:i] + simplex[i + 1:]
+            out[face] = out.get(face, 0) + (-coeff if i % 2 else coeff)
+    return {face: coeff for face, coeff in out.items() if coeff}
 
 
-def _sparse_rank(columns: Iterable[dict[int, int]],
-                 pivots: Optional[dict[int, dict[int, int]]] = None) -> int:
+def _sparse_rank(columns: Iterable[dict[int, int]]) -> int:
     """Exact rank over the rationals of the matrix with the given sparse
     integer columns (row index -> nonzero entry).
 
@@ -397,15 +388,11 @@ def _sparse_rank(columns: Iterable[dict[int, int]],
     lowest row holds c is replaced by p * col - c * pivot, where the earlier
     pivot column with the same lowest row holds p there, and then divided
     by the gcd of its entries, until its lowest row is new (it becomes a
-    pivot) or it vanishes.  Each step scales by a nonzero constant and adds
-    a multiple of another column, so the rank over Q is unchanged.  With
-    ``pivots`` (lowest row -> reduced integer column, entries coprime,
-    pivot entry positive) passed in, the reduction continues from those
-    columns and the count is the rank the new columns add.
+    pivot, its entries coprime and its pivot entry positive) or it
+    vanishes.  Each step scales by a nonzero constant and adds a multiple
+    of another column, so the rank over Q is unchanged.
     """
-    if pivots is None:
-        pivots = {}
-    added = 0
+    pivots: dict[int, dict[int, int]] = {}
     for column in columns:
         col = dict(column)
         while col:
@@ -416,7 +403,6 @@ def _sparse_rank(columns: Iterable[dict[int, int]],
                 if col[low] < 0:
                     g = -g
                 pivots[low] = {row: value // g for row, value in col.items()}
-                added += 1
                 break
             p, c = other[low], col[low]
             g = gcd(p, c)
@@ -432,7 +418,7 @@ def _sparse_rank(columns: Iterable[dict[int, int]],
             g = gcd(*col.values())
             if g > 1:
                 col = {row: value // g for row, value in col.items()}
-    return added
+    return len(pivots)
 
 
 def _boundary_column(simplex: tuple, pos: dict) -> dict[int, int]:
@@ -464,35 +450,37 @@ def betti_numbers(complex_: SimplicialComplex,
 
 def facet_boundary_cycles(system: CoxeterSystem, xc: SimplicialComplex,
                           ncp: NcpLattice, images: dict[tuple, int]
-                          ) -> list[Chain]:
+                          ) -> list[dict[tuple, int]]:
     """One cycle per facet: the fundamental cycle of the barycentric sphere
     of the facet boundary, pushed into the order complex of the proper part
     by the table of simplex images.
 
-    Chains live on the proper part's labels (positions after removing bottom
-    and top); each returned chain has zero boundary, and together they have
-    full rank in top reduced homology.
+    Chains are integer combinations of simplices on the proper part's
+    labels (positions after removing bottom and top); each returned chain
+    has zero boundary, and together they have full rank in top reduced
+    homology.
     """
     proper = ncp.proper_positions()
     label_of = {ncp.elements[pos]: lab for lab, pos in enumerate(proper)}
     n = system.rank
+    # a permutation of a facet's places is a flag of its faces: the sign,
+    # and the proper faces passed through as bitmasks over the places
+    flags = [(_parity(perm), [sum(1 << p for p in perm[:k])
+                              for k in range(1, n)])
+             for perm in permutations(range(n))]
     cycles = []
     for facet in xc.facets:
-        chain = Chain()
-        for perm in permutations(range(n)):
-            sign = _parity(perm)
-            labels = []
-            seen = set()
-            for k in range(1, n):
-                prefix = tuple(sorted(facet[p] for p in perm[:k]))
-                element = images[prefix]
-                if element in seen:
-                    raise ComplexError(
-                        "face chain degenerated: map not strictly monotone")
-                seen.add(element)
-                labels.append(label_of[element])
-            chain.add_term(tuple(labels), sign)
-        cycles.append(chain)
+        label = {mask: label_of[images[tuple(
+                     v for p, v in enumerate(facet) if mask >> p & 1)]]
+                 for mask in range(1, (1 << n) - 1)}
+        chain: dict[tuple, int] = {}
+        for sign, masks in flags:
+            simplex = tuple(label[m] for m in masks)
+            if len(set(simplex)) < n - 1:
+                raise ComplexError(
+                    "face chain degenerated: map not strictly monotone")
+            chain[simplex] = chain.get(simplex, 0) + sign
+        cycles.append({s: c for s, c in chain.items() if c})
     return cycles
 
 
@@ -502,21 +490,22 @@ def _parity(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def cycle_space_rank(cycles: list[Chain], complex_: SimplicialComplex,
-                     dim: int) -> int:
-    """Rank of the cycle images in reduced homology of the given dimension."""
-    by_dim = complex_.simplices_by_dim()
-    basis = by_dim.get(dim, [()] if dim == -1 else [])
-    pos = {s: i for i, s in enumerate(basis)}
-    pivots: dict[int, dict[int, int]] = {}
-    _sparse_rank((_boundary_column(s, pos) for s in by_dim.get(dim + 1, [])),
-                 pivots)
-    return _sparse_rank((_integer_column(cy, pos) for cy in cycles), pivots)
-
-
-def _integer_column(chain: Chain, pos: dict) -> dict[int, int]:
-    """A chain's coefficients times the lcm of their denominators, keyed
-    by the simplices' positions."""
-    den = lcm(*(c.denominator for c in chain.coefficients.values()))
-    return {pos[s]: c.numerator * (den // c.denominator)
-            for s, c in chain.coefficients.items()}
+def cycle_space_rank(cycles: list[dict[tuple, int]],
+                     complex_: SimplicialComplex, dim: int) -> int:
+    """Rank of the cycles in reduced homology of the top dimension ``dim``.
+    No face lies above the top, so no boundary lies in it, and the rank is
+    that of the cycles' integer columns over the top faces: the facets of
+    that dimension, or the empty simplex when the complex is empty."""
+    if dim != complex_.dim:
+        raise ComplexError(f"homology rank taken in dimension {dim}, "
+                           f"not in the top dimension {complex_.dim}")
+    top = ([f for f in complex_.facets if len(f) == dim + 1]
+           if dim >= 0 else [()])
+    pos = {s: i for i, s in enumerate(top)}
+    columns = []
+    for cycle in cycles:
+        if not pos.keys() >= cycle.keys():
+            raise ComplexError(f"a cycle has a term that is not a top face "
+                               f"of dimension {dim}")
+        columns.append({pos[s]: c for s, c in cycle.items() if c})
+    return _sparse_rank(columns)

@@ -82,12 +82,6 @@ class CoxeterDiagram:
     def rank(self) -> int:
         return len(self.matrix)
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        n = self.rank
-        return [(i, j, self.matrix[i][j])
-                for i in range(n) for j in range(i + 1, n)
-                if self.matrix[i][j] >= 3]
-
     @staticmethod
     def from_matrix(rows, label="custom") -> "CoxeterDiagram":
         return CoxeterDiagram(tuple(tuple(int(e) for e in row) for row in rows), label)
@@ -471,9 +465,6 @@ class CoxeterSystem:
     @property
     def order(self) -> int:
         return len(self.perms)
-
-    def length(self, i: int) -> int:
-        return self.lengths[i]
 
     def product(self, i: int, j: int) -> int:
         """w_i w_j, whose key is w_i applied to the key of w_j."""

@@ -43,9 +43,12 @@ def vertex_operator(system: CoxeterSystem) -> Matrix:
     invertible whenever the action is essential.
     """
     delta = system.identity - system.coxeter_element
-    if delta.det().sign() == 0:
-        raise EmbedError("I - c is singular: the action is not essential")
-    return delta.inverse().scale(2)
+    try:
+        inverse = delta.inverse()
+    except ValueError:
+        raise EmbedError("I - c is singular: the action is not essential"
+                         ) from None
+    return inverse.scale(2)
 
 
 @dataclass
@@ -238,13 +241,11 @@ def intersection_lattice_proper_betti(system: CoxeterSystem,
 
 
 def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
-                        flats: Optional[list[Flat]] = None) -> bool:
-    """The canonical rays are exactly the codim n-1 flats; ``flats`` is the
-    intersection lattice when the caller has built it.  The line of normals
-    N is {x : N B x = 0}, the image under B^-1 (whose rows are the dual
-    rays) of the kernel of N."""
-    if flats is None:
-        flats = intersection_lattice(system)
+                        flats: list[Flat]) -> bool:
+    """The canonical rays are exactly the codim n-1 flats of the
+    intersection lattice ``flats``.  The line of normals N is
+    {x : N B x = 0}, the image under B^-1 (whose rows are the dual rays) of
+    the kernel of N."""
     lines = [f for f in flats if f.codim == system.rank - 1]
     gram_inverse = Matrix(system.field, system.dual_rays)
     ray_keys = set(rays)

@@ -5,14 +5,13 @@ product sums the unreduced integer convolutions of its terms over one
 common denominator, then reduces modulo the minimal polynomial and takes
 one gcd, instead of one reduction per term; matrix products, matrix-vector
 products and reflections all go through it.  Gaussian elimination with
-exact zero tests gives exact rank, kernel, determinant, inverse and linear
-solves; nothing here ever touches floating point.
+exact zero tests gives exact rank, kernel, reduced echelon form and
+inverse; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
 
 from .fields import FieldError, NumberField, Scalar
 
@@ -176,28 +175,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def det(self) -> Scalar:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = self.field.one
-        for col in range(n):
-            pivot = next((i for i in range(col, n)
-                          if not rows[i][col].is_zero()), None)
-            if pivot is None:
-                return self.field.zero
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = rows[col][col].inverse()
-            for i in range(col + 1, n):
-                if not rows[i][col].is_zero():
-                    f = rows[i][col] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-        return det
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
@@ -209,14 +186,3 @@ class Matrix:
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(self.field, [row[n:] for row in rows])
-
-    def solve(self, rhs: Vector) -> Optional[Vector]:
-        """One solution of A x = rhs, or None if inconsistent."""
-        aug = [list(r) + [b] for r, b in zip(self.rows, rhs)]
-        rows, pivots = Matrix(self.field, aug)._echelon()
-        if self.ncols in pivots:
-            return None
-        x = [self.field.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][-1]
-        return tuple(x)

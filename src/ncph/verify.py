@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .arrangement import GenericityError
-from .complexes import (ComplexError, cycle_space_rank, fiber_report,
-                        poset_map_report, simplex_length_rule_failures)
+from .complexes import (ComplexError, boundary, cycle_space_rank,
+                        fiber_report, poset_map_report,
+                        simplex_length_rule_failures)
 from .coxeter import BudgetExceededError
 from .embed import (EmbedError, dot_property_report,
                     intersection_lattice_proper_betti, rays_as_flats_check)
@@ -72,8 +73,8 @@ def _suite_poset_map(bundle: Bundle) -> CheckResult:
 
 
 def _suite_fibers(bundle: Bundle) -> CheckResult:
-    report = fiber_report(bundle.system, bundle.ordered, bundle.root_complex,
-                          bundle.ncp, bundle.simplex_images)
+    report = fiber_report(bundle.ordered, bundle.root_complex, bundle.ncp,
+                          bundle.simplex_images)
     return CheckResult("fibers", report.ok, {
         "properElements": report.checked,
         "mismatches": len(report.mismatches),
@@ -153,7 +154,7 @@ def _suite_embed(bundle: Bundle) -> CheckResult:
     rays_ok = bundle.system.rank == 1 or rays_as_flats_check(
         bundle.system, bundle.rays, bundle.lattice)
     cycles = bundle.basis_cycles
-    cycles_closed = all(c.boundary().is_zero() for c in cycles)
+    cycles_closed = not any(boundary(c) for c in cycles)
     cycle_rank = cycle_space_rank(cycles, bundle.ncp_order_complex, top)
     passed = (report.ok and basis_size == report.bounded_count
               and others_vanish and rays_ok and cycles_closed

@@ -82,7 +82,8 @@ def test_generic_vector_geometric_weights(a2):
 
 def test_generic_vector_rejects_bad_bound(a2):
     with pytest.raises(GenericityError):
-        generic_vector(a2.system, a2.ordered.tau, Fraction(0))
+        generic_vector(a2.system, a2.ordered.tau, Fraction(0),
+                       zip(a2.rays, a2.ray_norms))
     with pytest.raises(GenericityError):
         # a wildly large bound fails the exact re-verification
         generic_vector(a2.system, a2.ordered.tau, Fraction(10),
@@ -209,6 +210,13 @@ def test_separation_floor_matches_the_exact_sign_search(label, rank, rational):
     for q in range(1, 65):
         assert _floor_sqrt_of_scaled(minimum, q) == _floor_sqrt_by_signs(minimum, q)
     assert ray_separation_bound(system) == _separation_bound_by_signs(minimum)
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_separation_bound_refuses_a_denominator_bound_below_one(a2, bound):
+    with pytest.raises(ValueError, match="at least 1"):
+        ray_separation_bound(a2.system, bound)
+    assert ray_separation_bound(a2.system, 1) > 0
 
 
 def test_rational_separation_floor_matches_the_exact_sign_search():

@@ -15,7 +15,7 @@ from ncph.pipeline import Bundle, RunConfig
 from ncph.verify import run_suites
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     # The child must import the same ncph as this process, from any cwd:
     # put the absolute directory that holds the package first on PYTHONPATH
     # (a relative entry such as "src" does not resolve under another cwd).
@@ -24,7 +24,8 @@ def run_cli(args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ncph.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def test_info_a2(tmp_path, capsys):
@@ -177,6 +178,35 @@ def test_reducible_matrix_is_a_usage_error(tmp_path, rows, components):
     assert result.returncode == 2, result.stderr
     assert (f"error: reducible diagram: components {components}"
             in result.stderr)
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "5", "[1,2]", "[null]", "[[1,2.5],[2.5,1]]", "[[1,3.0],[3.0,1]]",
+    "[[true,3],[3,true]]", '[[1,"3"],["3",1]]', '{"rows": [[1,3],[3,1]]}',
+    "[[1,3],[3,1]"])
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, text):
+    """Only a JSON list of rows of integers is a Coxeter matrix: a float or
+    a boolean is not read as an integer, and no input gives a traceback."""
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(text)
+    result = run_cli(["info", "--matrix", str(mfile), "--out", str(tmp_path),
+                      "--no-cache"], tmp_path, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("denominator", ["0", "-5"])
+def test_nonpositive_lambda_denominator_is_a_usage_error(tmp_path,
+                                                         denominator):
+    """A denominator bound below 1 admits no p/q: it is refused at once
+    rather than searched for ever."""
+    result = run_cli(["verify", "A", "3", "--suite", "prop41",
+                      "--lambda-denom", denominator, "--out", str(tmp_path),
+                      "--no-cache"], tmp_path, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "error: denominator bound must be at least 1" in result.stderr
     assert "Traceback" not in result.stderr
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,8 +26,16 @@ def test_rank_one_operator_is_identity():
 
 def test_a2_operator_exists(a2):
     delta = a2.system.identity - a2.system.coxeter_element
-    assert delta.det() == a2.system.field.from_rational(3)
-    vertex_operator(a2.system)
+    assert delta.rank() == 2
+    assert vertex_operator(a2.system) * delta == a2.system.identity.scale(2)
+
+
+def test_operator_of_a_singular_rotation_is_rejected(a2):
+    """With c = I, I - c is singular and has no inverse."""
+    stub = SimpleNamespace(identity=a2.system.identity,
+                           coxeter_element=a2.system.identity)
+    with pytest.raises(EmbedError, match="singular"):
+        vertex_operator(stub)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 3)])
@@ -73,7 +82,7 @@ def test_intersection_lattice_b3(b3):
         by_codim[f.codim] = by_codim.get(f.codim, 0) + 1
     assert by_codim == {0: 1, 1: 9, 2: 13, 3: 1}
     assert intersection_lattice_proper_betti(b3.system) == {-1: 0, 0: 0, 1: 15}
-    assert rays_as_flats_check(b3.system, b3.rays)
+    assert rays_as_flats_check(b3.system, b3.rays, b3.lattice)
 
 
 def test_flat_order_is_reverse_inclusion(a2):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, kernel, determinant, inverse."""
+"""Exact linear algebra: rank, kernel, inverse."""
 
 import random
 from fractions import Fraction
@@ -37,7 +37,8 @@ def test_a2_rotation_determinant():
     c = system.reflection_matrix(a1) * system.reflection_matrix(a2)
     assert c == Matrix(field, [[0, -1], [1, -1]])
     delta = Matrix.identity(field, 2) - c
-    assert delta.det() == field.from_rational(3)
+    (a, b), (d, e) = delta.rows
+    assert a * e - b * d == field.from_rational(3)
     assert delta.rank() == 2
 
 
@@ -49,7 +50,7 @@ def test_inverse_times_matrix_is_identity_up_to_dim8():
             m = Matrix(qq, [[Fraction(random.randint(-6, 6),
                                       random.randint(1, 4))
                              for _ in range(n)] for _ in range(n)])
-            if not m.det().is_zero():
+            if m.rank() == n:
                 break
         assert m.inverse() * m == Matrix.identity(qq, n)
 
@@ -60,7 +61,7 @@ def test_inverse_over_quadratic_field():
     m = Matrix(field, [[field.from_coords((random.randint(-3, 3),
                                            random.randint(-2, 2)))
                         for _ in range(4)] for _ in range(4)])
-    assert not m.det().is_zero()
+    assert m.rank() == 4
     assert m.inverse() * m == Matrix.identity(field, 4)
 
 
@@ -70,13 +71,4 @@ def test_singular_matrix_rejected():
     assert m.rank() == 1
     with pytest.raises(ValueError):
         m.inverse()
-    assert m.det().is_zero()
 
-
-def test_solve():
-    qq = rationals()
-    m = Matrix(qq, [[2, 1], [1, 3]])
-    x = m.solve((qq.from_rational(5), qq.from_rational(10)))
-    assert m.apply(x) == (qq.from_rational(5), qq.from_rational(10))
-    inconsistent = Matrix(qq, [[1, 1], [1, 1]])
-    assert inconsistent.solve((qq.from_rational(0), qq.from_rational(1))) is None
