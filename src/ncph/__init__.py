@@ -10,7 +10,7 @@ are made in exact real algebraic arithmetic.
 
 from .coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                       NotFiniteTypeError, bipartite_order)
-from .fields import (FieldError, NumberField, Scalar, field_create, rationals,
+from .fields import (FieldError, NumberField, Scalar, rationals,
                      quadratic_field, cosine_field)
 from .linalg import Matrix, dot
 from .pipeline import Bundle, RunConfig, build
@@ -23,5 +23,5 @@ __all__ = [
     "FieldError", "Matrix", "NotFiniteTypeError", "NumberField",
     "OrderedRoots", "RootOrderError", "RunConfig",
     "Scalar", "bipartite_order", "build", "cosine_field",
-    "dot", "field_create", "ordered_roots", "quadratic_field", "rationals",
+    "dot", "ordered_roots", "quadratic_field", "rationals",
 ]

@@ -26,6 +26,14 @@ from .rootorder import RootOrderError
 from .verify import SUITES, run_suites
 
 
+def positive_int(text: str) -> int:
+    """A budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
     if with_group:
         parser.add_argument("type", nargs="?", default=None,
@@ -38,9 +46,10 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
                         help="output directory (default ncph-out)")
     parser.add_argument("--lambda-denom", type=int, default=64, metavar="N",
                         help="denominator bound for the separation bound")
-    parser.add_argument("--group-cap", type=int, default=2_000_000, metavar="N")
-    parser.add_argument("--simplex-budget", type=int, default=5_000_000,
+    parser.add_argument("--group-cap", type=positive_int, default=2_000_000,
                         metavar="N")
+    parser.add_argument("--simplex-budget", type=positive_int,
+                        default=5_000_000, metavar="N")
     parser.add_argument("--swap-classes", action="store_true",
                         help="swap the two color classes of the bipartite "
                              "order (a conjugate rotation; the field is the "

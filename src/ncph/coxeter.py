@@ -19,7 +19,8 @@ simple root permutations in bipartite order, and the reflection of every
 root, with its sign, is read off the breadth-first root orbit by
 conjugating along it.  Reflection length is the fixed-space
 codimension, a class function, so it costs one exact rank per conjugacy
-class; it is cross-checked elsewhere against a breadth-first word oracle.
+class (none in rank 2, where it is 0, 1 or 2 by kind); it is
+cross-checked elsewhere against a breadth-first word oracle.
 The exact matrix of an element, c's included, has the images of the
 simple roots as its columns and is built only on demand.
 """
@@ -444,8 +445,16 @@ class CoxeterSystem:
         function: one exact rank per conjugacy class, spread over the class
         by conjugating with the simple reflections, whose key s w s (a_j) =
         s(w(s(a_j))) is read off the permutations.  The vectors
-        w(a_j) - a_j are the columns of w - I in simple-root coordinates."""
+        w(a_j) - a_j are the columns of w - I in simple-root coordinates.
+        In rank at most 2 no rank is taken: e has length 0, a reflection 1
+        and every other element, a rotation, 2."""
         n, getter = self.rank, self._getter
+        if n <= 2:
+            lengths = [2] * self.order
+            lengths[self.e_index] = 0
+            for t, _ in self.reflections:
+                lengths[t] = 1
+            return lengths
         perms, index = self.perms, self.index_of
         inner = [(getter(*g[:n]), g) for g in self.simple_perms]
         lengths = [-1] * self.order

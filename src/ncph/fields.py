@@ -1,21 +1,24 @@
-"""Exact arithmetic in real algebraic number fields Q(theta).
+"""Exact arithmetic in the real algebraic number fields of the catalog.
 
-A field is described by an integer minimal polynomial together with a
-rational isolating interval that singles out one real root theta.  A
-scalar is d integer numerators over one positive denominator in the power
-basis 1, theta, ..., theta^(d-1), kept in lowest terms, so equality and
-hashing compare integer tuples.  Addition works on shared denominators;
-multiplication is an integer convolution reduced by an integer table of
-theta^d, ..., theta^(2d-2), built once per field (over a common
-denominator when the polynomial is not monic).  Inverses use the norm in
-degree 2 and extended Euclid on integer polynomials above.  The sign of a
-scalar is decided exactly: zero by comparing numerators (with a gcd/Sturm
-fallback that stays sound even for an undetected reducible modulus),
-nonzero sign by bisecting the isolating interval until integer interval
-Horner sums exclude zero.  ``Scalar.coords`` gives the rational
-coordinates for serialization.  ``float()`` of a scalar, for display only,
-evaluates the coordinates at theta correctly rounded to a float, found
-once per field, so it does not depend on the sign tests run before it.
+The Gram entries -cos(pi/m) of a finite Coxeter diagram generate Q, a
+quadratic field Q(sqrt d) for d = 2, 3, 5, or Q(2cos(pi/k)) for I2(m).
+Each is built here from its monic, irreducible integer minimal polynomial
+(x^2 - d, or the minimal polynomial of 2cos(pi/k)) together with a rational
+isolating interval that singles out one real root theta; a Sturm count
+certifies the interval.  A scalar is d integer numerators over one
+positive denominator in the power basis 1, theta, ..., theta^(d-1), kept
+in lowest terms, so equality and hashing compare integer tuples.
+Addition works on shared denominators; multiplication is an integer
+convolution reduced by the integer table of theta^d, ..., theta^(2d-2),
+built once per field from the polynomial's tail.  Inverses use the norm in
+degree 2 and extended Euclid on integer polynomials above.  A nonzero
+numerator tuple is a nonzero number, since the polynomial is irreducible,
+so the sign of a scalar is decided by bisecting the isolating interval
+until integer interval Horner sums exclude zero.  ``Scalar.coords`` gives
+the rational coordinates for serialization.  ``float()`` of a scalar, for
+display only, evaluates the coordinates at theta correctly rounded to a
+float, found once per field, so it does not depend on the sign tests run
+before it.
 
 All values are immutable after construction; the only mutable state is the
 cached refinement of the isolating interval, which only ever shrinks, and
@@ -90,15 +93,6 @@ def _poly_divmod(p, q):
     return _strip(quo), _strip(rem)
 
 
-def _poly_gcd(p, q):
-    a, b = _strip(p), _strip(q)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        a = tuple(c / a[-1] for c in a)  # monic
-    return a
-
-
 def _poly_derivative(p):
     return _strip(i * p[i] for i in range(1, len(p)))
 
@@ -133,54 +127,6 @@ def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
     at_lo = _sign_changes(_poly_eval(f, lo) for f in chain)
     at_hi = _sign_changes(_poly_eval(f, hi) for f in chain)
     return at_lo - at_hi
-
-
-def _rational_root_exists(int_coeffs) -> bool:
-    """Whether an integer polynomial has a rational root (root theorem)."""
-    coeffs = list(int_coeffs)
-    if not coeffs:
-        return True
-    while coeffs and coeffs[0] == 0:
-        return True  # x divides
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-
-    def divisors(n):
-        out = []
-        for d in range(1, math.isqrt(n) + 1):
-            if n % d == 0:
-                out.extend((d, n // d))
-        return sorted(set(out))
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(coeffs, cand) == 0:
-                    return True
-    return False
-
-
-def _monic_quartic_splits(int_coeffs) -> bool:
-    """Whether a monic integer quartic factors into two monic quadratics."""
-    e, d, c, b, a = int_coeffs  # a == 1
-    found = []
-    n = abs(e) if e else 0
-    if e == 0:
-        return True
-    for p in range(1, math.isqrt(n) + 1):
-        if n % p == 0:
-            found.extend((p, n // p, -p, -(n // p)))
-    for q0 in sorted(set(found)):
-        if q0 == 0 or e % q0:
-            continue
-        r0 = e // q0
-        # (x^2 + s x + q0)(x^2 + t x + r0): s + t = b, q0 + r0 + s t = c, s r0 + t q0 = d
-        for s in range(-abs(b) - abs(c) - 4, abs(b) + abs(c) + 5):
-            t = b - s
-            if q0 + r0 + s * t == c and s * r0 + t * q0 == d:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -230,57 +176,40 @@ def _int_inverse(f, p) -> tuple[tuple[int, ...], int]:
 # ---------------------------------------------------------------------------
 
 class NumberField:
-    """Q(theta) for the unique root theta of ``minimal_polynomial`` in the
-    isolating interval.  Degree-1 fields are the rationals and carry no theta.
+    """Q(theta) for the unique root theta of the monic, irreducible integer
+    polynomial ``minimal_polynomial`` in the isolating interval; the catalog
+    (``quadratic_field``, ``cosine_field``) builds every one.  The rationals
+    are ``rationals()`` and carry no theta.
     """
 
-    #: bisection steps before the exact zero test kicks in
-    zero_test_depth = 64
     #: theta correctly rounded, once ``theta_float`` has found it
     _theta_float: Optional[float] = None
 
-    def __init__(self, minimal_polynomial, isolating_interval, name=None, _validate=True):
-        coeffs = tuple(int(c) for c in minimal_polynomial)
-        coeffs = _strip(coeffs)
-        if len(coeffs) < 2:
-            raise FieldError("minimal polynomial must have positive degree")
-        g = 0
-        for c in coeffs:
-            g = math.gcd(g, abs(c))
-        coeffs = tuple(c // g for c in coeffs)
-        if coeffs[-1] < 0:
-            coeffs = tuple(-c for c in coeffs)
-        self.minimal_polynomial = coeffs
+    def __init__(self, minimal_polynomial, isolating_interval, name):
+        self.minimal_polynomial = coeffs = tuple(minimal_polynomial)
+        if coeffs[-1] != 1:
+            raise FieldError("minimal polynomial must be monic")
         self.degree = len(coeffs) - 1
         lo, hi = (Fraction(b) for b in isolating_interval)
-        if not lo < hi:
-            raise FieldError("isolating interval must be nonempty")
+        at_lo = _poly_eval(coeffs, lo)
+        if at_lo == 0 or _poly_eval(coeffs, hi) == 0:
+            raise FieldError("isolating interval endpoints must not be roots")
+        n = _count_roots(coeffs, lo, hi)
+        if n != 1:
+            raise FieldError(f"isolating interval contains {n} roots, expected 1")
         self._set_interval(lo, hi)
         self._initial_interval = (lo, hi)
-        self.name = name or f"Q[x]/({coeffs})"
-        if self.degree == 1:
-            raise FieldError(
-                "degenerate minimal polynomial: degree-1 fields are the "
-                "rationals, use rationals()"
-            )
-        if _validate:
-            self._validate()
-        # reduction table: theta^(d+k) = sum(table[k][i] theta^i) / table_den,
-        # integer rows over one denominator (1 for a monic polynomial)
-        lead = Fraction(coeffs[-1])
-        monic_tail = tuple(Fraction(-c, 1) / lead for c in coeffs[:-1])
-        powers = [monic_tail]
+        self.name = name
+        # reduction table: theta^(d+k) = sum(table[k][i] theta^i), integer
+        # rows from the tail theta^d = -c_0 - c_1 theta - ... of the polynomial
+        tail = tuple(-c for c in coeffs[:-1])
+        powers = [tail]
         for _ in range(self.degree - 2):
             prev = powers[-1]
-            nxt = [Fraction(0)] + list(prev[:-1])
             top = prev[-1]
-            if top:
-                nxt = [a + top * b for a, b in zip(nxt, monic_tail)]
-            powers.append(tuple(nxt))
-        den = math.lcm(*(c.denominator for row in powers for c in row))
-        self._table = tuple(tuple(int(c * den) for c in row) for row in powers)
-        self._table_den = den
-        self._sign_at_lo = 1 if _poly_eval(coeffs, lo) > 0 else -1
+            powers.append(tuple(a + top * b for a, b in zip((0,) + prev[:-1], tail)))
+        self._table = tuple(powers)
+        self._sign_at_lo = 1 if at_lo > 0 else -1
         self._zero_tail = (0,) * (self.degree - 1)
         self.zero = Scalar(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
@@ -290,21 +219,6 @@ class NumberField:
         self._install_rational_cosines()
 
     # -- construction ------------------------------------------------------
-
-    def _validate(self):
-        p = self.minimal_polynomial
-        lo, hi = self._lo, self._hi
-        if _poly_eval(p, lo) == 0 or _poly_eval(p, hi) == 0:
-            raise FieldError("isolating interval endpoints must not be roots")
-        if len(_poly_gcd(p, _poly_derivative(p))) > 1:
-            raise FieldError("reducible minimal polynomial (repeated factor)")
-        if _rational_root_exists(p):
-            raise FieldError("reducible minimal polynomial (rational root)")
-        if self.degree == 4 and p[-1] == 1 and _monic_quartic_splits(p):
-            raise FieldError("reducible minimal polynomial (quadratic factors)")
-        n = _count_roots(p, lo, hi)
-        if n != 1:
-            raise FieldError(f"isolating interval contains {n} roots, expected 1")
 
     def _install_rational_cosines(self):
         self.cos_table[1] = self.from_rational(-1)
@@ -365,8 +279,8 @@ class NumberField:
         mid = (lo + hi) / 2
         value = _poly_eval(self.minimal_polynomial, mid)
         if value == 0:
-            # validated fields have no rational roots; hitting one means the
-            # description was reducible or degenerate after all
+            # an irreducible polynomial of degree >= 2 has no rational root;
+            # hitting one means the description was reducible after all
             raise FieldError(
                 "rational root hit while refining the isolating interval")
         if (1 if value > 0 else -1) != self._sign_at_lo:
@@ -395,13 +309,13 @@ class NumberField:
         """The scalar sum(conv[k] theta^k) / den for integer coefficients
         (at most 2d-1 of them, as in a product of two scalars' numerators),
         reduced modulo the minimal polynomial by the integer table."""
-        return self.from_ints(self._reduce(conv), den * self._table_den)
+        return self.from_ints(self._reduce(conv), den)
 
     def _reduce(self, conv: list) -> list:
         """The d integer numerators of ``conv`` reduced modulo the minimal
-        polynomial, over the denominator ``_table_den``."""
-        d, den = self.degree, self._table_den
-        out = conv[:d] if den == 1 else [c * den for c in conv[:d]]
+        polynomial."""
+        d = self.degree
+        out = conv[:d]
         out += [0] * (d - len(out))
         for k in range(d, len(conv)):
             c = conv[k]
@@ -409,17 +323,6 @@ class NumberField:
                 for i, t in enumerate(self._table[k - d]):
                     out[i] += c * t
         return out
-
-    def _is_zero_at_theta(self, coords) -> bool:
-        """Exact test f(theta) == 0 (sound even if the modulus is reducible)."""
-        f = _strip(coords)
-        if not f:
-            return True
-        g = _poly_gcd(f, tuple(Fraction(c) for c in self.minimal_polynomial))
-        if len(g) <= 1:
-            return False
-        lo, hi = self._initial_interval
-        return _count_roots(g, lo, hi) > 0
 
     def describe(self) -> dict:
         """The field's definition, with the isolating interval it was
@@ -446,7 +349,6 @@ class _RationalField(NumberField):
         self.name = "Q"
         self._set_interval(Fraction(-1), Fraction(1))
         self._initial_interval = self.interval()
-        self._table, self._table_den = (), 1
         self._zero_tail = ()
         self.zero = Scalar(self, (0,), 1)
         self.one = Scalar(self, (1,), 1)
@@ -462,18 +364,10 @@ class _RationalField(NumberField):
     def _reduce(self, conv):
         return conv[:1]
 
-    def _is_zero_at_theta(self, coords):
-        return not _strip(coords)
-
 
 @lru_cache(maxsize=None)
 def rationals() -> NumberField:
     return _RationalField()
-
-
-def field_create(minimal_polynomial, isolating_interval, name=None) -> NumberField:
-    """Public constructor with full validation of the field description."""
-    return NumberField(minimal_polynomial, isolating_interval, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +449,15 @@ class Scalar:
         if field.degree == 1:
             return field.from_ints((den,), num[0])
         if field.degree == 2:
-            # theta^2 = e + f theta with e = E/D, f = F/D:
-            # (a + b theta)^-1 = (a D + b F - b D theta) / (a^2 D + a b F - b^2 E)
+            # theta^2 = e + f theta:
+            # (a + b theta)^-1 = (a + b f - b theta) / (a^2 + a b f - b^2 e)
             a, b = num
-            (e, f), d = field._table[0], field._table_den
-            norm = a * a * d + a * b * f - b * b * e
+            e, f = field._table[0]
+            norm = a * a + a * b * f - b * b * e
             if norm == 0:
                 raise FieldError(
                     "zero divisor encountered: the minimal polynomial is reducible")
-            return field.from_ints((den * (a * d + b * f), -den * b * d), norm)
+            return field.from_ints((den * (a + b * f), -den * b), norm)
         s, c = _int_inverse(num, field.minimal_polynomial)
         return field.from_ints([den * x for x in s]
                                + [0] * (field.degree - len(s)), c)
@@ -617,9 +511,6 @@ class Scalar:
                 return s
             field.refine_interval()
             steps += 1
-            if steps == field.zero_test_depth:
-                if field._is_zero_at_theta(self.coords):
-                    return 0
             if steps > 10000:
                 raise FieldError("sign refinement failed to converge")
 

@@ -210,6 +210,17 @@ def test_nonpositive_lambda_denominator_is_a_usage_error(tmp_path,
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--group-cap", "--simplex-budget"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_is_a_usage_error(tmp_path, flag, value):
+    """A budget below 1 is malformed input, not an exceeded budget."""
+    result = run_cli(["info", "A", "3", flag, value, "--out", str(tmp_path),
+                      "--no-cache"], tmp_path, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert f"error: argument {flag}: must be at least 1" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_budget_exit_code(tmp_path):
     # budget overruns are reported distinctly from invariant failures
     assert main(["verify", "B", "3", "--all", "--group-cap", "10",

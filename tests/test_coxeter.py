@@ -7,6 +7,7 @@ import pytest
 
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                           NotFiniteTypeError, bipartite_order)
+from ncph.linalg import Matrix
 from conftest import bundle_for
 
 
@@ -94,11 +95,21 @@ def test_reflection_lengths():
 
 
 @pytest.mark.parametrize("label,rank", [
-    ("A", 1), ("I", 5), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
-    ("H", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
+    ("A", 1), ("I", 5), ("I", 7), ("I", 8), ("I", 12), ("I", 30), ("A", 2),
+    ("A", 3), ("B", 2), ("B", 3), ("H", 3), ("A", 4), ("D", 4), ("B", 4),
+    ("F", 4)])
 def test_length_equals_bfs_word_length(label, rank):
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
     assert system.bfs_reflection_lengths() == system.lengths
+
+
+def test_rank_two_lengths_take_no_exact_rank(monkeypatch):
+    def no_rank(*_):
+        raise AssertionError("rank-2 lengths took an exact rank")
+
+    monkeypatch.setattr(Matrix, "rank", no_rank)
+    system = CoxeterSystem(CoxeterDiagram.from_type("I", 7))
+    assert sorted(system.lengths) == [0] + [1] * 7 + [2] * 6
 
 
 def _pairs(system, sample):

@@ -6,34 +6,98 @@ from fractions import Fraction
 
 import pytest
 
-from ncph.fields import (FieldError, cos2pi_minimal_polynomial,
-                         cosine_field, field_create, quadratic_field,
-                         rationals)
-
-
-def test_degenerate_polynomials_rejected():
-    with pytest.raises(FieldError):
-        field_create((-1, 1), (0, 2))       # x - 1
-    with pytest.raises(FieldError):
-        field_create((0, 1), (-1, 1))       # x, theta = 0
-    with pytest.raises(FieldError):
-        field_create((), (0, 1))
-
-
-def test_reducible_polynomials_rejected():
-    with pytest.raises(FieldError):
-        field_create((-4, 0, 1), (1, 3))    # (x-2)(x+2)
-    with pytest.raises(FieldError):
-        field_create((4, -4, 1), (1, 3))    # (x-2)^2
-    with pytest.raises(FieldError):
-        field_create((9, 0, -14, 0, 1), (1, 2))  # (x^2-2x-3)... monic quartic split
+from ncph.fields import (FieldError, NumberField, _count_roots,
+                         cos2pi_minimal_polynomial, cosine_field,
+                         quadratic_field, rationals)
 
 
 def test_interval_must_isolate_one_root():
     with pytest.raises(FieldError):
-        field_create((-2, 0, 1), (-2, 2))   # both roots of x^2 - 2
+        NumberField((-2, 0, 1), (-2, 2), "Q(sqrt2)")   # both roots of x^2 - 2
     with pytest.raises(FieldError):
-        field_create((-2, 0, 1), (2, 3))    # no root
+        NumberField((-2, 0, 1), (2, 3), "Q(sqrt2)")    # no root
+    with pytest.raises(FieldError):
+        NumberField((-4, 0, 1), (2, 3), "Q[x]/(x^2-4)")  # root at an endpoint
+
+
+def test_non_monic_polynomial_rejected():
+    with pytest.raises(FieldError):
+        NumberField((-3, 0, 2), (1, 2), "Q(sqrt(3/2))")
+
+
+# ---------------------------------------------------------------------------
+# the catalog polynomials are the minimal polynomials of their theta
+# ---------------------------------------------------------------------------
+
+def _cyclotomic_oracle(n):
+    """Phi_n(z) = prod over d | n of (z^d - 1)^mu(n/d), dividing out the
+    factors with mu = -1 one monic z^d - 1 at a time."""
+    def mobius(m):
+        result, p = 1, 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                result = -result
+            p += 1
+        return -result if m > 1 else result
+
+    top, bottom = [1], []
+    for d in range(1, n + 1):
+        if n % d == 0 and mobius(n // d):
+            factor = [-1] + [0] * (d - 1) + [1]
+            if mobius(n // d) == 1:
+                top = _mul_oracle(top, factor)
+            else:
+                bottom.append(d)
+    for d in bottom:
+        # exact division by z^d - 1: q_i = q_(i-d) - t_i from the bottom up
+        quo = [0] * (len(top) - d)
+        for i in range(len(quo)):
+            quo[i] = (quo[i - d] if i >= d else 0) - top[i]
+        top = quo
+    return list(top)
+
+
+def _palindromic_lift(p):
+    """z^d p(z + 1/z) for p of degree d: sum c_j z^(d-j) (z^2 + 1)^j."""
+    d = len(p) - 1
+    out = [0] * (2 * d + 1)
+    power = [1]                       # (z^2 + 1)^j
+    for j, c in enumerate(p):
+        for i, b in enumerate(power):
+            out[d - j + i] += c * b
+        power = _mul_oracle(power, [1, 0, 1])
+    return out
+
+
+@pytest.mark.parametrize("k", range(4, 61))
+def test_cosine_field_polynomial_is_the_minimal_polynomial(k):
+    """A monic integer polynomial of degree [Q(2cos(pi/k)):Q] = phi(2k)/2
+    that vanishes at 2cos(pi/k) is its minimal polynomial, so irreducible:
+    z^d p(z + 1/z) = Phi_2k(z) puts every primitive 2k-th root z = e^(i pi
+    j/k) behind a root 2cos(pi j/k) of p, and the interval holds one root
+    of p and 2cos(pi/k), so theta is 2cos(pi/k)."""
+    field = cosine_field(k)
+    p = field.minimal_polynomial
+    assert p[-1] == 1
+    totient = sum(1 for j in range(1, 2 * k + 1) if math.gcd(j, 2 * k) == 1)
+    assert len(p) - 1 == field.degree == totient // 2
+    assert _palindromic_lift(p) == _cyclotomic_oracle(2 * k)
+    lo, hi = field._initial_interval
+    assert _count_roots(p, lo, hi) == 1
+    assert float(lo) < 2 * math.cos(math.pi / k) - 1e-9 and hi == 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_quadratic_field_polynomial_is_the_minimal_polynomial(d):
+    field = quadratic_field(d)
+    assert field.minimal_polynomial == (-d, 0, 1) and field.degree == 2
+    assert math.isqrt(d) ** 2 != d          # no rational root
+    lo, hi = field._initial_interval
+    assert _count_roots(field.minimal_polynomial, lo, hi) == 1
+    assert 0 <= lo and lo * lo < d < hi * hi
 
 
 def test_sqrt5_field_by_bisection():
@@ -46,8 +110,8 @@ def test_sqrt5_field_by_bisection():
         else:
             lo = mid
     assert lo > 2  # sqrt(5) = 2.236...
-    field = field_create((-5, 0, 1), (2, 3))
-    assert field.degree == 2
+    field = quadratic_field(5)
+    assert field.degree == 2 and field._initial_interval == (2, 3)
     theta = field.theta
     assert (theta - 2).sign() == 1
     assert (theta * theta - 5).sign() == 0
@@ -123,16 +187,15 @@ def test_cos2pi_minimal_polynomials(k, degree):
 
 
 def test_zero_divisor_detected_lazily():
-    # bypass validation with a reducible modulus; arithmetic must stay sound
-    from ncph.fields import NumberField
-    field = NumberField((-4, 0, 1), (1, 3), _validate=False)  # x^2 - 4
+    # a reducible modulus that the Sturm count accepts; arithmetic must stay
+    # sound
+    field = NumberField((-4, 0, 1), (1, 3), "Q[x]/(x^2-4)")
     bad = field.from_coords((2, -1))  # 2 - theta, vanishes at theta = 2
     with pytest.raises(FieldError):
         bad.inverse()
-    # the sign query either resolves to exact zero or detects the bad modulus
+    # bisection hits the rational root 2
     with pytest.raises(FieldError):
         bad.sign()
-    assert field._is_zero_at_theta(bad.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +308,13 @@ class _Oracle:
                 lo = mid
 
 
-def _sqrt2_plus_sqrt5():
-    """A degree-4 field: Q(gamma), gamma = sqrt2 + sqrt5, a root of
-    x^4 - 14 x^2 + 9 (the one in (7/2, 4))."""
-    return field_create((9, 0, -14, 0, 1), (Fraction(7, 2), 4),
-                        name="Q(sqrt2+sqrt5)")
-
-
 _KERNEL_FIELDS = {
     "Q": rationals,
     "Q(sqrt2)": lambda: quadratic_field(2),
     "Q(sqrt5)": lambda: quadratic_field(5),
-    "Q(sqrt2+sqrt5)": lambda: _sqrt2_plus_sqrt5(),
+    "Q(2cos(pi/7))": lambda: cosine_field(7),      # degree 3
+    "Q(2cos(pi/8))": lambda: cosine_field(8),      # degree 4
     "Q(2cos(pi/10))": lambda: cosine_field(10),
-    "Q[x]/(2x^2-3)": lambda: field_create((-3, 0, 2), (1, 2)),
 }
 
 
@@ -353,7 +409,7 @@ def test_dot_rejects_mixed_fields():
 def test_vec_key_sorts_like_rational_coordinates():
     from ncph.linalg import vec_key
     rng = random.Random(11)
-    for name in ("Q", "Q(sqrt5)", "Q(sqrt2+sqrt5)", "Q[x]/(2x^2-3)"):
+    for name in ("Q", "Q(sqrt5)", "Q(2cos(pi/7))", "Q(2cos(pi/8))"):
         field = _KERNEL_FIELDS[name]()
         rows = []
         for _ in range(200):
@@ -387,9 +443,9 @@ def test_inverse_of_zero_raises_in_every_degree():
 
 
 def test_zero_divisor_detected_in_degree_four():
-    from ncph.fields import NumberField
-    # (x^2 - 2)(x^2 - 3), unvalidated; x^2 - 2 vanishes at sqrt2
-    field = NumberField((6, 0, -5, 0, 1), (1, Fraction(3, 2)), _validate=False)
+    # (x^2 - 2)(x^2 - 3), one root in the interval; x^2 - 2 vanishes at sqrt2
+    field = NumberField((6, 0, -5, 0, 1), (1, Fraction(3, 2)),
+                        "Q[x]/((x^2-2)(x^2-3))")
     with pytest.raises(FieldError):
         field.from_coords((-2, 0, 1, 0)).inverse()
     x = field.from_coords((1, 1, 0, 0))
@@ -398,9 +454,8 @@ def test_zero_divisor_detected_in_degree_four():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_theta_float_is_the_correctly_rounded_square_root(d):
-    from ncph.fields import NumberField
     root = math.isqrt(d)
-    fresh = NumberField((-d, 0, 1), (root, root + 1))
+    fresh = NumberField((-d, 0, 1), (root, root + 1), f"Q(sqrt{d})")
     assert fresh.theta_float() == math.sqrt(d)
     assert quadratic_field(d).theta_float() == math.sqrt(d)
 
@@ -408,16 +463,17 @@ def test_theta_float_is_the_correctly_rounded_square_root(d):
 @pytest.mark.parametrize("name,make", [
     ("Q(sqrt2)", lambda: quadratic_field(2)),
     ("Q(sqrt5)", lambda: quadratic_field(5)),
-    ("Q(sqrt2+sqrt5)", lambda: _sqrt2_plus_sqrt5()),
+    ("Q(2cos(pi/7))", lambda: cosine_field(7)),
+    ("Q(2cos(pi/8))", lambda: cosine_field(8)),
     ("Q(2cos(pi/20))", lambda: cosine_field(20)),
 ])
 def test_theta_float_does_not_depend_on_the_refinement(name, make):
-    from ncph.fields import NumberField
     catalog = make()
     assert catalog.name == name
 
     def fresh():
-        return NumberField(catalog.minimal_polynomial, catalog._initial_interval)
+        return NumberField(catalog.minimal_polynomial,
+                           catalog._initial_interval, catalog.name)
 
     first = fresh()
     before = first.interval()

@@ -1,15 +1,45 @@
-"""The written reports and exports: pinned bytes for rank 3 and F4."""
+"""The written reports and exports: pinned bytes for I2(7), I2(8), rank 3
+and F4."""
 
 import hashlib
 
 import pytest
 
 from ncph.cli import main
+from ncph.coxeter import CoxeterDiagram
 
 # sha256 of the files written by `ncph verify <TYPE> <RANK> --all --no-cache`
 # and `ncph export <TARGET> <TYPE> <RANK> --no-cache`, each with and without
 # --swap-classes; any change of these bytes is a change of an exact output
 PINNED = {
+    ("I", "7", False): {
+        "verify": "9a190a2d0df26a1abb8439319cf3259f43de2a0b631343f86635ab930384321d",
+        "ncp": "b194d19218fafd171b2e02709f8e3a94d9735e538a6002476cbedca3ae7db593",
+        "xc": "9cf6e3bffcd1ddd038dd34deb34aa355c4703e7ac95a15a9e7ff2582cedcc7c4",
+        "lattice": "23d6f957bdec2ac0678f23ec4ab77230b161202fce9a403a3bf861784a855ba0",
+        "embed": "80cc3e664b75f7903f68c9705d8693498d1fa2aee8814549c016ab1d4f992a7e",
+    },
+    ("I", "7", True): {
+        "verify": "d0a860cad4a08e18f2bc829eb39cf8e69e38bf2145fba03a30b5aeb053e3def1",
+        "ncp": "b194d19218fafd171b2e02709f8e3a94d9735e538a6002476cbedca3ae7db593",
+        "xc": "9cf6e3bffcd1ddd038dd34deb34aa355c4703e7ac95a15a9e7ff2582cedcc7c4",
+        "lattice": "23d6f957bdec2ac0678f23ec4ab77230b161202fce9a403a3bf861784a855ba0",
+        "embed": "80cc3e664b75f7903f68c9705d8693498d1fa2aee8814549c016ab1d4f992a7e",
+    },
+    ("I", "8", False): {
+        "verify": "337ef14f3bf1e0db9d19384a5a5dca1b94bd09a8dc44ed6c86c10cd0251b2325",
+        "ncp": "3cbed6d00139d4b5a1aed0ff21d44b7c330ed59178f1a4ee0e54e08f09e43da9",
+        "xc": "3cb0ed2b8663175550ad1e0f8ddcfbaa1dfcef75c51605b38b349dc938199270",
+        "lattice": "b44cf010635ddb17e870120ff4bcec9cd63a2b4304fb47ad9dd8e30f1fac97fa",
+        "embed": "c43f1d6b04bee072cd17943c6a6544ac02a78838701dc5b2fd4219abaf7cd0fe",
+    },
+    ("I", "8", True): {
+        "verify": "f837fe074bfc87454d024fff16dd8fd13e897626ac6b9a12e2916582a52a3b00",
+        "ncp": "3cbed6d00139d4b5a1aed0ff21d44b7c330ed59178f1a4ee0e54e08f09e43da9",
+        "xc": "3cb0ed2b8663175550ad1e0f8ddcfbaa1dfcef75c51605b38b349dc938199270",
+        "lattice": "b44cf010635ddb17e870120ff4bcec9cd63a2b4304fb47ad9dd8e30f1fac97fa",
+        "embed": "c43f1d6b04bee072cd17943c6a6544ac02a78838701dc5b2fd4219abaf7cd0fe",
+    },
     ("A", "3", False): {
         "verify": "5bd5ff53d5123fa029b2aea59fab353ef431d739a97408c58f07042a75943cae",
         "ncp": "de10a15d9dedbe316fa5c131e0fa8f8b0b679e87c523fc6c960c33808f668d6a",
@@ -76,7 +106,8 @@ def test_report_and_export_bytes_are_pinned(label, rank, swap, tmp_path):
     assert main(["verify", *common, "--all"]) == 0
     for target in ("ncp", "xc", "lattice", "embed"):
         assert main(["export", target, *common]) == 0
+    stem = CoxeterDiagram.from_type(label, int(rank)).label
     found = {name: hashlib.sha256(
-        (tmp_path / f"{label}{rank}-{name}.json").read_bytes()).hexdigest()
+        (tmp_path / f"{stem}-{name}.json").read_bytes()).hexdigest()
         for name in PINNED[label, rank, swap]}
     assert found == PINNED[label, rank, swap]
