@@ -13,7 +13,7 @@ from .coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
 from .fields import (FieldError, NumberField, Scalar, rationals,
                      quadratic_field, cosine_field)
 from .linalg import Matrix, dot
-from .pipeline import Bundle, RunConfig, build
+from .pipeline import Bundle, RunConfig
 from .rootorder import OrderedRoots, RootOrderError, ordered_roots
 
 __version__ = "0.1.0"
@@ -22,6 +22,6 @@ __all__ = [
     "Bundle", "BudgetExceededError", "CoxeterDiagram", "CoxeterSystem",
     "FieldError", "Matrix", "NotFiniteTypeError", "NumberField",
     "OrderedRoots", "RootOrderError", "RunConfig",
-    "Scalar", "bipartite_order", "build", "cosine_field",
+    "Scalar", "bipartite_order", "cosine_field",
     "dot", "ordered_roots", "quadratic_field", "rationals",
 ]

@@ -27,7 +27,7 @@ from .verify import SUITES, run_suites
 
 
 def positive_int(text: str) -> int:
-    """A budget: an integer of at least 1."""
+    """A budget or a bound: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -44,7 +44,8 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
                         help="explicit Coxeter matrix (JSON list of rows)")
     parser.add_argument("--out", metavar="DIR", default="ncph-out",
                         help="output directory (default ncph-out)")
-    parser.add_argument("--lambda-denom", type=int, default=64, metavar="N",
+    parser.add_argument("--lambda-denom", type=positive_int, default=64,
+                        metavar="N",
                         help="denominator bound for the separation bound")
     parser.add_argument("--group-cap", type=positive_int, default=2_000_000,
                         metavar="N")

@@ -1,9 +1,10 @@
 """Noncrossing partition lattices and their geometric companions.
 
 Builds the interval below the rotation c in absolute order, the flag
-complex on the ordered positive roots, the order complexes of posets with
-their reduced rational homology, the facet-boundary cycles that give an
-explicit homology basis, and the Moebius number.
+complex on the ordered positive roots (read off the factorizations of c),
+the order complexes of posets with their reduced rational homology, the
+facet-boundary cycles that give an explicit homology basis, and the
+Moebius number.
 
 A simplex tau_1 < ... < tau_k of the flag complex maps to r(tau_k) ...
 r(tau_1) in NC(W); the map is tabulated once, one product per simplex,
@@ -15,8 +16,8 @@ the length by one reach all of it, and reversed they are its covers.  No
 element of W outside [e, c] is ever visited.  Posets are given by their
 covers, and order questions inside NC(W) read the down-sets grown from
 them.  An order complex has the maximal chains grown along the covers as
-its facets; these, like maximal cliques, are never nested, so a complex
-takes its facets as given.
+its facets; these, like the factorizations of c, are never nested, so a
+complex takes its facets as given.
 
 Homology is computed over the rationals from exact ranks of the sparse
 integer boundary matrices, found by fraction-free column reduction.  The
@@ -110,24 +111,6 @@ def full_subcomplex(complex_: SimplicialComplex, keep: Iterable[int]) -> Simplic
         if reduce(and_, (holding[v] for v in t), everything) == 1 << pos])
 
 
-def _max_cliques(neighbors: dict[int, set[int]]) -> list[tuple[int, ...]]:
-    """Bron-Kerbosch with pivoting; deterministic output order."""
-    cliques: list[tuple[int, ...]] = []
-
-    def expand(r: set, p: set, x: set):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda v: len(neighbors[v] & p))
-        for v in sorted(p - neighbors[pivot]):
-            expand(r | {v}, p & neighbors[v], x & neighbors[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(neighbors), set())
-    return sorted(cliques)
-
-
 # ---------------------------------------------------------------------------
 # the noncrossing partition lattice
 # ---------------------------------------------------------------------------
@@ -215,25 +198,29 @@ def build_ncp(system: CoxeterSystem) -> NcpLattice:
 # ---------------------------------------------------------------------------
 
 def build_root_complex(system: CoxeterSystem, ordered: OrderedRoots) -> SimplicialComplex:
-    """Vertices are root positions 0..nh/2-1; i < j are joined when the
-    product r(rho_j) r(rho_i) has reflection length 2 and precedes c; the
-    simplices are the cliques.  Facets must all have exactly n vertices.
+    """Vertices are root positions 0..nh/2-1, and the facets are the
+    increasing factorizations tau_1 < ... < tau_n of c into reflections,
+    r(tau_n) ... r(tau_1) = c (Brady-Watt).  They are peeled off c largest
+    label first: from x, each label j below the last one peeled steps to
+    r(rho_j) x when that lowers the reflection length by one, and a walk
+    that reaches e has peeled a facet.  Since l(c) = n, every facet has n
+    vertices.
     """
-    count = ordered.count
     refl = ordered.reflection_index
-    neighbors: dict[int, set[int]] = {i: set() for i in range(count)}
-    for i in range(count):
-        for j in range(i + 1, count):
-            prod = system.product(refl[j], refl[i])
-            if system.lengths[prod] == 2 and system.precedes(prod, system.c_index):
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-    facets = _max_cliques(neighbors)
-    for f in facets:
-        if len(f) != system.rank:
-            raise ComplexError(
-                f"maximal clique {f} has size {len(f)}, expected rank {system.rank}")
-    return SimplicialComplex(range(count), facets)
+    lengths = system.lengths
+    facets: list[tuple[int, ...]] = []
+
+    def peel(x: int, below: int, labels: tuple[int, ...]) -> None:
+        if lengths[x] == 0:
+            facets.append(labels)
+            return
+        for j in range(below):
+            y = system.product(refl[j], x)
+            if lengths[y] == lengths[x] - 1:
+                peel(y, j, (j,) + labels)
+
+    peel(system.c_index, ordered.count, ())
+    return SimplicialComplex(range(ordered.count), facets)
 
 
 def simplex_images(system: CoxeterSystem, ordered: OrderedRoots,

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .fields import (NumberField, Scalar, cos_pi_over, cosine_field,
                      quadratic_field, rationals)
-from .linalg import Matrix, Vector, dot, vec_add, vec_key, vec_neg, vec_sub
+from .linalg import Matrix, Vector, dot, vec_key, vec_neg, vec_sub
 
 DEFAULT_GROUP_CAP = 2_000_000
 
@@ -337,7 +337,6 @@ class CoxeterSystem:
         # d_k . a_l = delta_kl makes the dual rays the columns of B^-1,
         # which is symmetric
         self.dual_rays = list(self.gram.inverse().rows)
-        self.interior_point = reduce(vec_add, self.dual_rays)
         self._getter = _getter(n)
 
         self._close_roots()

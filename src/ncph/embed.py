@@ -30,7 +30,7 @@ from .complexes import (SimplicialComplex, _sparse_rank, betti_numbers,
                         order_complex)
 from .coxeter import CoxeterSystem, closure
 from .fields import Scalar
-from .linalg import Matrix, Vector, dot, vec_key, vec_scale
+from .linalg import Matrix, Vector, dot, vec_key
 from .rootorder import OrderedRoots
 
 
@@ -116,17 +116,6 @@ def dot_property_report(system: CoxeterSystem, ordered: OrderedRoots,
             if dot(vc.vertices[i], co).sign() <= 0:
                 report.nonpositive_slice.append(i)
     return report
-
-
-def project_to_slice(system: CoxeterSystem, x: Vector, v: Vector) -> Vector:
-    """Central projection of x onto the affine hyperplane through v normal
-    to v: the positive rescaling of x with v . (scaled x) = v . v.
-    """
-    co = system.lower(v)
-    t = dot(x, co)
-    if t.sign() <= 0:
-        raise EmbedError("projection needs v . x > 0")
-    return vec_scale(x, dot(v, co) / t)
 
 
 # ---------------------------------------------------------------------------

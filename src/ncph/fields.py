@@ -590,14 +590,14 @@ def quadratic_field(d: int) -> NumberField:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(k: int) -> tuple:
-    if k == 1:
-        return (Fraction(-1), Fraction(1))
-    num = tuple(Fraction(-1 if i == 0 else (1 if i == k else 0)) for i in range(k + 1))
-    poly = num
+def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
+    """The k-th cyclotomic polynomial: x^k - 1 divided by every smaller
+    cyclotomic polynomial of a divisor of k.  Each is monic with integer
+    coefficients, so pseudo-division has multiplier 1 and stays in Z."""
+    poly = (-1,) + (0,) * (k - 1) + (1,)
     for d in range(1, k):
         if k % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            _, poly, rem = _int_pseudo_divmod(poly, cyclotomic_polynomial(d))
             assert not rem
     return poly
 
@@ -613,12 +613,12 @@ def cos2pi_minimal_polynomial(k: int) -> tuple[int, ...]:
     half = (len(phi) - 1) // 2
     # phi is palindromic for k >= 3: fold z^j + z^-j into dilated Chebyshev V_j
     out = (phi[half],)
-    v_prev, v_cur = (Fraction(2),), (Fraction(0), Fraction(1))
+    v_prev, v_cur = (2,), (0, 1)
     for j in range(1, half + 1):
         out = _poly_add(out, _poly_scale(v_cur, phi[half + j]))
-        v_prev, v_cur = v_cur, _poly_add(_poly_mul((Fraction(0), Fraction(1)), v_cur),
+        v_prev, v_cur = v_cur, _poly_add((0,) + v_cur,
                                          tuple(-c for c in v_prev))
-    return tuple(int(c) for c in out)
+    return out
 
 
 def chebyshev_double_cos(field: NumberField, theta: Scalar, j: int) -> Scalar:

@@ -161,10 +161,6 @@ class Bundle:
                                      self.ncp, self.simplex_images)
 
 
-def build(config: RunConfig) -> Bundle:
-    return Bundle(config)
-
-
 # ---------------------------------------------------------------------------
 # system cache
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterSystem, _compose
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 
 class RootOrderError(ValueError):
@@ -52,10 +52,9 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
         prefix = _compose(prefix, system.simple_perms[i % n])
     roots = [system.roots[k] for k in ids[:total]]
 
+    # distinct ids that make up the positive system: every root is positive
     position: dict[int, int] = {}
-    for i, (k, rho) in enumerate(zip(ids, roots)):
-        if system.form(rho, system.interior_point).sign() <= 0:
-            raise RootOrderError(f"root {i + 1} in the sequence is not positive")
+    for i, k in enumerate(ids[:total]):
         if k in position:
             raise RootOrderError(f"duplicate root at positions "
                                  f"{position[k] + 1} and {i + 1}")
@@ -83,11 +82,10 @@ def ordered_roots(system: CoxeterSystem) -> OrderedRoots:
 
     reflection_index = [system.reflection_of[k] for k in ids[:total]]
 
-    tau = roots[-n:]
-    if Matrix(system.field, tau).rank() != n:
-        raise RootOrderError("the last n roots are linearly dependent")
+    # c fixes only 0, so the last n roots, whose reflections multiply to c,
+    # are linearly independent
     product = system.identity
-    for rho in tau:  # r(tau_n) ... r(tau_1) applied right-to-left
+    for rho in roots[-n:]:  # r(tau_n) ... r(tau_1) applied right-to-left
         product = system.reflection_matrix(rho) * product
     if product != system.coxeter_element:
         raise RootOrderError("the last n reflections do not multiply to c")

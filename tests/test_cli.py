@@ -200,25 +200,28 @@ def test_malformed_matrix_file_is_a_usage_error(tmp_path, text):
 @pytest.mark.parametrize("denominator", ["0", "-5"])
 def test_nonpositive_lambda_denominator_is_a_usage_error(tmp_path,
                                                          denominator):
-    """A denominator bound below 1 admits no p/q: it is refused at once
-    rather than searched for ever."""
+    """A denominator bound below 1 admits no p/q: it is refused when the
+    arguments are parsed rather than searched for ever."""
     result = run_cli(["verify", "A", "3", "--suite", "prop41",
                       "--lambda-denom", denominator, "--out", str(tmp_path),
                       "--no-cache"], tmp_path, timeout=60)
     assert result.returncode == 2, result.stderr
-    assert "error: denominator bound must be at least 1" in result.stderr
+    assert "error: argument --lambda-denom: must be at least 1" in result.stderr
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("flag", ["--group-cap", "--simplex-budget"])
+@pytest.mark.parametrize("flag", ["--group-cap", "--simplex-budget",
+                                  "--lambda-denom"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_budget_is_a_usage_error(tmp_path, flag, value):
-    """A budget below 1 is malformed input, not an exceeded budget."""
-    result = run_cli(["info", "A", "3", flag, value, "--out", str(tmp_path),
-                      "--no-cache"], tmp_path, timeout=60)
+    """A budget or bound below 1 is malformed input, not an exceeded
+    budget: it is refused before anything is built or cached."""
+    result = run_cli(["info", "A", "3", flag, value, "--out", str(tmp_path)],
+                     tmp_path, timeout=60)
     assert result.returncode == 2, result.stderr
     assert f"error: argument {flag}: must be at least 1" in result.stderr
     assert "Traceback" not in result.stderr
+    assert not (tmp_path / "cache").exists()
 
 
 def test_budget_exit_code(tmp_path):

@@ -84,6 +84,46 @@ def test_root_complex_b3_has_ten_facets(b3):
     assert all(len(f) == 3 for f in xc.facets)
 
 
+def _flag_root_complex(system, ordered):
+    """X by its definition, the reference for the factorization walk: i < j
+    are joined when r(rho_j) r(rho_i) has reflection length 2 and precedes
+    c, and the facets are the maximal cliques (Bron-Kerbosch with
+    pivoting)."""
+    refl = ordered.reflection_index
+    neighbors = {i: set() for i in range(ordered.count)}
+    for i, j in itertools.combinations(range(ordered.count), 2):
+        prod = system.product(refl[j], refl[i])
+        if system.lengths[prod] == 2 and system.precedes(prod, system.c_index):
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda v: len(neighbors[v] & p))
+        for v in sorted(p - neighbors[pivot]):
+            expand(r | {v}, p & neighbors[v], x & neighbors[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(neighbors), set())
+    return tuple(sorted(cliques))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("label,rank", [
+    ("A", 1), ("A", 2), ("G", 2), ("I", 5), ("I", 12), ("A", 3), ("B", 3),
+    ("H", 3), ("A", 4), ("B", 4), ("D", 4), ("F", 4), ("H", 4), ("A", 5),
+    ("D", 5), ("B", 5), ("E", 6)])
+def test_root_complex_is_the_flag_complex(label, rank, swap):
+    bundle = bundle_for(label, rank, swap)
+    xc = build_root_complex(bundle.system, bundle.ordered)
+    assert xc.vertices == tuple(range(bundle.ordered.count))
+    assert xc.facets == _flag_root_complex(bundle.system, bundle.ordered)
+
+
 def _product_chain(system, ordered, simplex):
     """Reference for the simplex map: r(tau_k) ... r(tau_1) as a chain of
     products, one per vertex."""

@@ -8,7 +8,7 @@ import pytest
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                           NotFiniteTypeError, bipartite_order)
 from ncph.linalg import Matrix
-from conftest import bundle_for
+from conftest import bundle_for, interior_point
 
 
 def test_bipartite_order_examples():
@@ -252,7 +252,7 @@ def test_positive_roots_pair_with_reflections(label, rank, swap):
     for t, root in system.reflections:
         assert system.lengths[t] == 1
         assert system.form(root, root) == system.field.one
-        assert system.form(root, system.interior_point).sign() > 0
+        assert system.form(root, interior_point(system)).sign() > 0
         assert all(x.sign() >= 0 for x in root)
         assert system.reflection_matrix(root) == system.matrix(t)
         k = system.root_id[root]

@@ -12,7 +12,7 @@ from ncph.complexes import order_complex
 from ncph.embed import (EmbedError, VertexComplex, dot_property_report,
                         facet_chambers, flat_covers, flat_leq,
                         intersection_lattice,
-                        intersection_lattice_proper_betti, project_to_slice,
+                        intersection_lattice_proper_betti,
                         rays_as_flats_check, vertex_operator)
 from ncph.linalg import Matrix, vec_add, vec_key, vec_scale, vec_sub
 from conftest import bundle_for
@@ -44,22 +44,6 @@ def test_dot_identities_exhaustive(label, rank):
     report = dot_property_report(bundle.system, bundle.ordered,
                                  bundle.vertex_complex, bundle.generic.vector)
     assert report.ok
-
-
-def test_projection_properties(a2):
-    system = a2.system
-    v = a2.generic.vector
-    field = system.field
-    assert project_to_slice(system, v, v) == v
-    x = a2.vertex_complex.vertices[0]
-    assert project_to_slice(system, vec_scale(x, field.from_rational(2)), v) \
-        == project_to_slice(system, x, v)
-    for vertex in a2.vertex_complex.vertices:
-        # defined for every vertex, and lands on the slice
-        p = project_to_slice(system, vertex, v)
-        assert system.form(p, v) == system.form(v, v)
-    with pytest.raises(EmbedError):
-        project_to_slice(system, vec_scale(v, field.from_rational(-1)), v)
 
 
 def test_intersection_lattice_a2(a2):
