@@ -23,6 +23,7 @@ from .exports import EXPORTERS, to_json
 from .fields import FieldError
 from .pipeline import Bundle, RunConfig
 from .rootorder import RootOrderError
+from .serialize import vector
 from .verify import SUITES, run_suites
 
 
@@ -35,6 +36,7 @@ def positive_int(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
+    defaults = RunConfig()
     if with_group:
         parser.add_argument("type", nargs="?", default=None,
                             help="group type letter (A B C D E F G H I)")
@@ -42,15 +44,15 @@ def _add_common(parser: argparse.ArgumentParser, with_group: bool = True):
                             help="rank (or m for type I)")
     parser.add_argument("--matrix", metavar="FILE",
                         help="explicit Coxeter matrix (JSON list of rows)")
-    parser.add_argument("--out", metavar="DIR", default="ncph-out",
-                        help="output directory (default ncph-out)")
-    parser.add_argument("--lambda-denom", type=positive_int, default=64,
-                        metavar="N",
+    parser.add_argument("--out", metavar="DIR", default=defaults.out_dir,
+                        help=f"output directory (default {defaults.out_dir})")
+    parser.add_argument("--lambda-denom", type=positive_int,
+                        default=defaults.lambda_denominator, metavar="N",
                         help="denominator bound for the separation bound")
-    parser.add_argument("--group-cap", type=positive_int, default=2_000_000,
-                        metavar="N")
+    parser.add_argument("--group-cap", type=positive_int,
+                        default=defaults.group_cap, metavar="N")
     parser.add_argument("--simplex-budget", type=positive_int,
-                        default=5_000_000, metavar="N")
+                        default=defaults.simplex_budget, metavar="N")
     parser.add_argument("--swap-classes", action="store_true",
                         help="swap the two color classes of the bipartite "
                              "order (a conjugate rotation; the field is the "
@@ -106,8 +108,7 @@ def cmd_info(args) -> int:
     print("root order (simple-root coordinates):")
     for i, rho in enumerate(ordered.roots):
         approx = ", ".join(f"{float(x):+.6f}" for x in rho)
-        exact = [[f"{c.numerator}/{c.denominator}" for c in x.coords] for x in rho]
-        print(f"  rho_{i + 1}: ({approx})   exact {exact}")
+        print(f"  rho_{i + 1}: ({approx})   exact {vector(rho)}")
     return 0
 
 

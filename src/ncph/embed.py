@@ -26,8 +26,8 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .arrangement import Chamber, canonical_ray
-from .complexes import (SimplicialComplex, _sparse_rank, betti_numbers,
-                        order_complex)
+from .complexes import (DEFAULT_SIMPLEX_BUDGET, SimplicialComplex,
+                        _sparse_rank, betti_numbers, order_complex)
 from .coxeter import CoxeterSystem, closure
 from .fields import Scalar
 from .linalg import Matrix, Vector, dot, vec_key
@@ -218,7 +218,7 @@ def flat_covers(flats: list[Flat]) -> list[list[int]]:
 
 
 def intersection_lattice_proper_betti(system: CoxeterSystem,
-                                      budget: int = 5_000_000,
+                                      budget: int = DEFAULT_SIMPLEX_BUDGET,
                                       flats: Optional[list[Flat]] = None
                                       ) -> dict[int, int]:
     """Reduced Betti numbers of the order complex of the proper part;

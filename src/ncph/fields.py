@@ -3,9 +3,11 @@
 The Gram entries -cos(pi/m) of a finite Coxeter diagram generate Q, a
 quadratic field Q(sqrt d) for d = 2, 3, 5, or Q(2cos(pi/k)) for I2(m).
 Each is built here from its monic, irreducible integer minimal polynomial
-(x^2 - d, or the minimal polynomial of 2cos(pi/k)) together with a rational
-isolating interval that singles out one real root theta; a Sturm count
-certifies the interval.  A scalar is d integer numerators over one
+(x, x^2 - d, or the minimal polynomial of 2cos(pi/k)) together with a
+rational isolating interval that singles out one real root theta.  All
+polynomial work runs on Python ints: a Sturm count on pseudo-remainders
+certifies the interval, which is kept and bisected as integers over one
+denominator.  A scalar is d integer numerators over one
 positive denominator in the power basis 1, theta, ..., theta^(d-1), kept
 in lowest terms, so equality and hashing compare integer tuples.
 Addition works on shared denominators; multiplication is an integer
@@ -39,7 +41,7 @@ class FieldError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, little-endian coefficient tuples
+# dense univariate polynomials over Z, little-endian coefficient tuples
 # ---------------------------------------------------------------------------
 
 def _strip(coeffs):
@@ -75,63 +77,9 @@ def _poly_mul(p, q) -> list:
     return out
 
 
-def _poly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        c = Fraction(c, 1) / lead
-        quo[i - dq] = c
-        for j in range(len(q)):
-            rem[i - dq + j] -= c * q[j]
-    return _strip(quo), _strip(rem)
-
-
 def _poly_derivative(p):
     return _strip(i * p[i] for i in range(1, len(p)))
 
-
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _sign_changes(values) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
-def _sturm_chain(p):
-    chain = [_strip(p), _poly_derivative(p)]
-    while chain[-1]:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        chain.append(tuple(-c for c in rem))
-    chain.pop()
-    return chain
-
-
-def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    Requires p(lo) != 0 and p(hi) != 0.
-    """
-    chain = _sturm_chain(p)
-    at_lo = _sign_changes(_poly_eval(f, lo) for f in chain)
-    at_hi = _sign_changes(_poly_eval(f, hi) for f in chain)
-    return at_lo - at_hi
-
-
-# ---------------------------------------------------------------------------
-# extended Euclid on integer polynomials
-# ---------------------------------------------------------------------------
 
 def _int_pseudo_divmod(a, b):
     """(m, q, r) with m * a == q * b + r over Z[x], deg r < deg b and m a
@@ -150,6 +98,46 @@ def _int_pseudo_divmod(a, b):
                 rem[i - db + j] -= c * y
     return m, _strip(quo), _strip(rem)
 
+
+def _sign_at(p, a: int, q: int) -> int:
+    """The sign of p(a/q) for q > 0: integer Horner on q^deg p(a/q)."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * scale
+        scale *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(p):
+    """p, p' and the negated remainders, over Z: m a = q b + r with m a
+    power of b's leading coefficient, so -sign(m) r, divided by its
+    content, is a positive multiple of the negated rational remainder."""
+    chain = [_strip(p), _poly_derivative(p)]
+    while chain[-1]:
+        m, _, rem = _int_pseudo_divmod(chain[-2], chain[-1])
+        g = math.gcd(*rem)
+        chain.append(tuple(x // (-g if m > 0 else g) for x in rem))
+    chain.pop()
+    return chain
+
+
+def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    Requires p(lo) != 0 and p(hi) != 0.
+    """
+    chain = _sturm_chain(p)
+    changes = []
+    for end in (lo, hi):
+        signs = [s for s in (_sign_at(f, end.numerator, end.denominator)
+                             for f in chain) if s]
+        changes.append(sum(s != t for s, t in zip(signs, signs[1:])))
+    return changes[0] - changes[1]
+
+
+# ---------------------------------------------------------------------------
+# extended Euclid on integer polynomials
+# ---------------------------------------------------------------------------
 
 def _int_inverse(f, p) -> tuple[tuple[int, ...], int]:
     """(s, c) with s * f == c modulo p for a nonzero integer c: extended
@@ -178,8 +166,10 @@ def _int_inverse(f, p) -> tuple[tuple[int, ...], int]:
 class NumberField:
     """Q(theta) for the unique root theta of the monic, irreducible integer
     polynomial ``minimal_polynomial`` in the isolating interval; the catalog
-    (``quadratic_field``, ``cosine_field``) builds every one.  The rationals
-    are ``rationals()`` and carry no theta.
+    (``rationals``, ``quadratic_field``, ``cosine_field``) builds every one.
+    The rationals are the field of x over (-1, 1) and carry no ``theta``
+    scalar.  The interval is kept as integers (lo, hi, q) over one positive
+    denominator, in lowest terms, and bisected on them.
     """
 
     #: theta correctly rounded, once ``theta_float`` has found it
@@ -190,15 +180,18 @@ class NumberField:
         if coeffs[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
         self.degree = len(coeffs) - 1
-        lo, hi = (Fraction(b) for b in isolating_interval)
-        at_lo = _poly_eval(coeffs, lo)
-        if at_lo == 0 or _poly_eval(coeffs, hi) == 0:
+        lo, hi = self._initial_interval = tuple(
+            Fraction(b) for b in isolating_interval)
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._scaled_interval = (lo.numerator * (q // lo.denominator),
+                                 hi.numerator * (q // hi.denominator), q)
+        self._sign_at_lo = _sign_at(coeffs, lo.numerator, lo.denominator)
+        if not self._sign_at_lo or not _sign_at(coeffs, hi.numerator,
+                                                hi.denominator):
             raise FieldError("isolating interval endpoints must not be roots")
         n = _count_roots(coeffs, lo, hi)
         if n != 1:
             raise FieldError(f"isolating interval contains {n} roots, expected 1")
-        self._set_interval(lo, hi)
-        self._initial_interval = (lo, hi)
         self.name = name
         # reduction table: theta^(d+k) = sum(table[k][i] theta^i), integer
         # rows from the tail theta^d = -c_0 - c_1 theta - ... of the polynomial
@@ -209,21 +202,17 @@ class NumberField:
             top = prev[-1]
             powers.append(tuple(a + top * b for a, b in zip((0,) + prev[:-1], tail)))
         self._table = tuple(powers)
-        self._sign_at_lo = 1 if at_lo > 0 else -1
         self._zero_tail = (0,) * (self.degree - 1)
         self.zero = Scalar(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
-        self.theta = Scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
+        if self.degree > 1:
+            self.theta = Scalar(self, (0, 1) + (0,) * (self.degree - 2), 1)
         #: exact values of cos(pi/m) for the m this field can express
-        self.cos_table: dict[int, Scalar] = {}
-        self._install_rational_cosines()
-
-    # -- construction ------------------------------------------------------
-
-    def _install_rational_cosines(self):
-        self.cos_table[1] = self.from_rational(-1)
-        self.cos_table[2] = self.from_rational(0)
-        self.cos_table[3] = self.from_rational(Fraction(1, 2))
+        self.cos_table: dict[int, Scalar] = {
+            1: self.from_rational(-1),
+            2: self.zero,
+            3: self.from_rational(Fraction(1, 2)),
+        }
 
     # -- scalar constructors -------------------------------------------------
 
@@ -238,10 +227,12 @@ class NumberField:
         return Scalar(self, tuple(num), den)
 
     def from_rational(self, q) -> "Scalar":
+        """The scalar q for an int or a Fraction; anything else, a float
+        among them, is a TypeError."""
         if type(q) is int:
             return Scalar(self, (q,) + self._zero_tail, 1)
         if not isinstance(q, Fraction):
-            q = Fraction(q)
+            raise TypeError(f"cannot coerce {q!r} into {self.name}")
         return Scalar(self, (q.numerator,) + self._zero_tail, q.denominator)
 
     def from_coords(self, coords) -> "Scalar":
@@ -264,50 +255,49 @@ class NumberField:
     # -- isolating interval ---------------------------------------------------
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        lo, hi, q = self._scaled_interval
+        return Fraction(lo, q), Fraction(hi, q)
 
-    def _set_interval(self, lo: Fraction, hi: Fraction):
-        """Store (lo, hi) and its integer form (lo * q, hi * q, q) over the
-        common denominator q, which the sign test evaluates on."""
-        self._lo, self._hi = lo, hi
-        q = math.lcm(lo.denominator, hi.denominator)
-        self._scaled_interval = (lo.numerator * (q // lo.denominator),
-                                 hi.numerator * (q // hi.denominator), q)
-
-    def _bisect(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """The half of (lo, hi) that holds theta."""
-        mid = (lo + hi) / 2
-        value = _poly_eval(self.minimal_polynomial, mid)
-        if value == 0:
+    def _bisect(self, lo: int, hi: int, q: int) -> tuple[int, int, int]:
+        """The half of (lo/q, hi/q) that holds theta, in lowest terms when
+        (lo, hi, q) is."""
+        mid = lo + hi                   # the midpoint is mid / 2q
+        if mid % 2:
+            lo, hi, q = 2 * lo, 2 * hi, 2 * q
+        else:
+            mid //= 2
+        s = _sign_at(self.minimal_polynomial, mid, q)
+        if not s:
             # an irreducible polynomial of degree >= 2 has no rational root;
             # hitting one means the description was reducible after all
             raise FieldError(
                 "rational root hit while refining the isolating interval")
-        if (1 if value > 0 else -1) != self._sign_at_lo:
-            return lo, mid
-        return mid, hi
+        if s != self._sign_at_lo:
+            return lo, mid, q
+        return mid, hi, q
 
     def refine_interval(self):
-        """One bisection step; keeps theta inside (lo, hi)."""
-        self._set_interval(*self._bisect(self._lo, self._hi))
+        """One bisection step; keeps theta inside (lo/q, hi/q)."""
+        self._scaled_interval = self._bisect(*self._scaled_interval)
 
     def theta_float(self) -> float:
         """theta correctly rounded to a float.  Bisects a copy of the
-        interval until both ends round to the same float; rounding is
-        monotone, so that float is theta's.  Cached, and the field's own
-        interval is left as the sign tests made it."""
+        interval until both ends round to the same float (int / int is
+        correctly rounded); rounding is monotone, so that float is theta's.
+        Cached, and the field's own interval is left as the sign tests made
+        it."""
         if self._theta_float is None:
-            lo, hi = self._lo, self._hi
-            while float(lo) != float(hi):
-                lo, hi = self._bisect(lo, hi)
-            self._theta_float = float(lo)
+            lo, hi, q = self._scaled_interval
+            while lo / q != hi / q:
+                lo, hi, q = self._bisect(lo, hi, q)
+            self._theta_float = lo / q
         return self._theta_float
 
     # -- exact reduction / zero test ------------------------------------------
 
     def from_convolution(self, conv: list, den: int) -> "Scalar":
         """The scalar sum(conv[k] theta^k) / den for integer coefficients
-        (at most 2d-1 of them, as in a product of two scalars' numerators),
+        (d to 2d-1 of them, as in a product of two scalars' numerators),
         reduced modulo the minimal polynomial by the integer table."""
         return self.from_ints(self._reduce(conv), den)
 
@@ -316,7 +306,6 @@ class NumberField:
         polynomial."""
         d = self.degree
         out = conv[:d]
-        out += [0] * (d - len(out))
         for k in range(d, len(conv)):
             c = conv[k]
             if c:
@@ -340,34 +329,10 @@ class NumberField:
         return f"NumberField({self.name})"
 
 
-class _RationalField(NumberField):
-    """The degree-1 field Q; skips polynomial machinery entirely."""
-
-    def __init__(self):
-        self.minimal_polynomial = (0, 1)
-        self.degree = 1
-        self.name = "Q"
-        self._set_interval(Fraction(-1), Fraction(1))
-        self._initial_interval = self.interval()
-        self._zero_tail = ()
-        self.zero = Scalar(self, (0,), 1)
-        self.one = Scalar(self, (1,), 1)
-        self.cos_table = {}
-        self._install_rational_cosines()
-
-    def refine_interval(self):
-        pass
-
-    def theta_float(self):
-        return 0.0
-
-    def _reduce(self, conv):
-        return conv[:1]
-
-
 @lru_cache(maxsize=None)
 def rationals() -> NumberField:
-    return _RationalField()
+    """Q, the field of theta = 0 (the root of x in (-1, 1))."""
+    return NumberField((0, 1), (-1, 1), "Q")
 
 
 # ---------------------------------------------------------------------------

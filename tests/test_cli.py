@@ -243,6 +243,28 @@ def test_cache_roundtrip_matches_fresh(tmp_path):
             == (fresh_dir / "B2-ncp.json").read_bytes())
 
 
+def test_info_defaults_are_the_run_config_defaults(monkeypatch):
+    """With no options the CLI builds the library's default RunConfig, so
+    both key the same cache entry."""
+    import ncph.cli
+
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def record(config):
+        built.append(config)
+        raise Built
+
+    monkeypatch.setattr(ncph.cli, "Bundle", record)
+    with pytest.raises(Built):
+        main(["info", "A", "3"])
+    assert built == [RunConfig(type_label="A", rank=3)]
+    assert built[0].content_hash() == RunConfig(type_label="A",
+                                                rank=3).content_hash()
+
+
 def test_info_b3_summary(tmp_path, capsys):
     assert main(["info", "B", "3", "--out", str(tmp_path), "--no-cache"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ncph.fields import (FieldError, NumberField, _count_roots,
+                         _int_pseudo_divmod, _poly_derivative,
                          cos2pi_minimal_polynomial, cosine_field,
                          quadratic_field, rationals)
 
@@ -98,6 +99,78 @@ def test_quadratic_field_polynomial_is_the_minimal_polynomial(d):
     lo, hi = field._initial_interval
     assert _count_roots(field.minimal_polynomial, lo, hi) == 1
     assert 0 <= lo and lo * lo < d < hi * hi
+
+
+def test_sturm_count_matches_the_roots_it_was_built_from():
+    """p = k * prod (b x - a) over distinct rationals a/b, times factors
+    x^2 + c with c > 0 (no real root), for k of either sign: non-monic,
+    and with a negative leading coefficient the pseudo-division multiplier
+    is negative whenever a division step is skipped (as with roots in
+    pairs +-r).  On a rational interval whose ends are not roots, the
+    Sturm count is the number of chosen roots inside."""
+    rng = random.Random(19)
+    negative_multipliers = 0
+    for _ in range(150):
+        roots = {Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                 for _ in range(rng.randint(0, 5))}
+        if rng.random() < 0.4:
+            roots |= {-r for r in roots}
+        poly = (rng.choice((-6, -3, -2, -1, 1, 2, 5)),)
+        for r in roots:
+            poly = tuple(_mul_oracle(poly, (-r.numerator, r.denominator)))
+        for _ in range(rng.randint(0, 2)):
+            poly = tuple(_mul_oracle(poly, (rng.randint(1, 9), 0, 1)))
+        poly = tuple(int(c) for c in poly)
+        if len(poly) > 2:
+            negative_multipliers += _int_pseudo_divmod(
+                poly, _poly_derivative(poly))[0] < 0
+        for _ in range(10):
+            lo, hi = sorted(Fraction(rng.randint(-150, 150), rng.choice((7, 11, 13)))
+                            for _ in range(2))
+            if lo == hi or lo in roots or hi in roots:
+                continue
+            assert _count_roots(poly, lo, hi) == sum(lo < r < hi for r in roots)
+    assert negative_multipliers >= 10
+
+
+def test_integer_bisection_matches_rational_bisection():
+    for make in (lambda: quadratic_field(5), lambda: cosine_field(7),
+                 lambda: cosine_field(20)):
+        catalog = make()
+        field = NumberField(catalog.minimal_polynomial,
+                            catalog._initial_interval, catalog.name)
+        poly = field.minimal_polynomial
+        lo, hi = field.interval()
+        assert (lo, hi) == catalog._initial_interval
+        at_lo = _Oracle._eval(poly, lo) > 0
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if (_Oracle._eval(poly, mid) > 0) != at_lo:
+                hi = mid
+            else:
+                lo = mid
+            field.refine_interval()
+            a, b, q = field._scaled_interval
+            assert q > 0 and math.gcd(a, b, q) == 1     # lowest terms
+            assert field.interval() == (lo, hi)
+
+
+def test_rationals_are_built_by_the_number_field_constructor():
+    qq = rationals()
+    assert type(qq) is NumberField and rationals() is qq
+    assert qq.describe() == {"name": "Q", "degree": 1,
+                             "minimalPolynomial": [0, 1],
+                             "isolatingInterval": ["-1/1", "1/1"]}
+    assert not hasattr(qq, "theta")
+    assert qq.cos_table[3] == Fraction(1, 2) and float(qq.cos_table[1]) == -1.0
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, "1/3", None])
+def test_from_rational_refuses_non_exact_input(value):
+    for field in (rationals(), quadratic_field(2)):
+        with pytest.raises(TypeError):
+            field.from_rational(value)
+    assert rationals().from_rational(Fraction(1, 3)).as_fraction() == Fraction(1, 3)
 
 
 def test_sqrt5_field_by_bisection():

@@ -1,5 +1,5 @@
 """The written reports and exports: pinned bytes for I2(7), I2(8), rank 3
-and F4."""
+and F4; and the pinned stdout of `ncph info`."""
 
 import hashlib
 
@@ -111,3 +111,20 @@ def test_report_and_export_bytes_are_pinned(label, rank, swap, tmp_path):
         (tmp_path / f"{stem}-{name}.json").read_bytes()).hexdigest()
         for name in PINNED[label, rank, swap]}
     assert found == PINNED[label, rank, swap]
+
+
+# sha256 of the stdout of `ncph info <TYPE> <RANK> --no-cache`: the root
+# order as floats (theta correctly rounded, in degree 2, 3 and 4) and as
+# exact coordinates
+INFO_PINNED = {
+    ("H", "3"): "18c679505d30acf4afe02929731d5c01b814790c824746cc614fd401d6fb351d",
+    ("I", "7"): "4bf747f18da3f43366049d0a11e54d2ac662be84ab945ecb5985ece3f2c9f391",
+    ("I", "8"): "352e1cbac86136f00792ae1c57a135b9747d54bc038aea68001bcbe07c41078f",
+}
+
+
+@pytest.mark.parametrize("label,rank", list(INFO_PINNED))
+def test_info_stdout_is_pinned(label, rank, tmp_path, capsys):
+    assert main(["info", label, rank, "--out", str(tmp_path), "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == INFO_PINNED[label, rank]
