@@ -6,8 +6,9 @@ by closing the d_k under the exact simple reflections.  Every line of the
 arrangement is W-conjugate to the line of some d_k (a standard parabolic
 flat of corank one), so the rays are the canonical forms of the table
 (first nonzero coordinate scaled to 1); the extreme rays of the chamber
-w C are the images w d_k, so chambers refer to the table by id.  Chambers
-are ordered by (length, the images of the simple roots), read by root id.
+w C are the images w d_k, so a chamber is its element and the ids of its
+rays in the table, whose vectors stay in the table alone.  Chambers are
+ordered by (length, the images of the simple roots), read by root id.
 Vectors are in simple-root coordinates and ``.`` is the system's form.
 
 The separation bound is a certified rational lower bound for the minimal
@@ -23,12 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Optional
 
 from .coxeter import CoxeterSystem
 from .fields import Scalar
-from .linalg import Vector, dot, vec_add, vec_key, vec_scale
+from .linalg import Vector, dot, vec_key, vec_scale
 
 DEFAULT_DENOMINATOR_BOUND = 64
 
@@ -148,17 +148,11 @@ def generic_vector(system: CoxeterSystem, tau: list[Vector], lam: Fraction,
 
 @dataclass
 class Chamber:
-    """The chamber w C: its extreme rays w d_k, both as ids into the shared
-    table of orbit rays and as the table's vectors."""
+    """The chamber w C: its element w and the ids of its extreme rays
+    w d_k in the table of orbit rays (``system.orbit_rays[0]``)."""
 
     element: int
     ray_ids: tuple[int, ...]
-    rays: list[Vector]
-
-    @property
-    def interior(self) -> Vector:
-        """The interior point w (d_1 + ... + d_n), the sum of the rays."""
-        return reduce(vec_add, self.rays)
 
 
 def chambers(system: CoxeterSystem) -> list[Chamber]:
@@ -170,7 +164,7 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
     breadth-first search over left multiplication by the simple
     reflections, ids(s w) = s(ids(w)).
     """
-    table, act = system.orbit_rays
+    act = system.orbit_rays[1]
     simple = [system.index_of[g[:system.rank]] for g in system.simple_perms]
     ids = {system.e_index: tuple(range(system.rank))}
     queue = [system.e_index]
@@ -180,7 +174,7 @@ def chambers(system: CoxeterSystem) -> list[Chamber]:
             if sw not in ids:
                 ids[sw] = tuple(row[k] for k in ids[w])
                 queue.append(sw)
-    return [Chamber(w, ids[w], [table[k] for k in ids[w]])
+    return [Chamber(w, ids[w])
             for w in sorted(range(system.order), key=system.element_sort_key)]
 
 
@@ -190,12 +184,12 @@ def bounded_slice(system: CoxeterSystem, chamber_list: list[Chamber],
     v normal to v is nonempty and bounded: v must be positive on every
     extreme ray of the closed chamber.  Each distinct ray is decided once.
     """
-    co = system.lower(v)
+    table, co = system.orbit_rays[0], system.lower(v)
     positive: dict[int, bool] = {}
     for chamber in chamber_list:
-        for k, ray in zip(chamber.ray_ids, chamber.rays):
+        for k in chamber.ray_ids:
             if k not in positive:
-                s = dot(ray, co).sign()
+                s = dot(table[k], co).sign()
                 if s == 0:
                     raise GenericityError(
                         "chamber ray orthogonal to the slice direction")

@@ -19,11 +19,11 @@ import sys
 from pathlib import Path
 
 from .coxeter import BudgetExceededError, NotFiniteTypeError
-from .exports import EXPORTERS, to_json
+from .exports import EXPORTERS
 from .fields import FieldError
 from .pipeline import Bundle, RunConfig
 from .rootorder import RootOrderError
-from .serialize import vector
+from .serialize import to_json, vector
 from .verify import SUITES, run_suites
 
 
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['group']}-verify.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    path.write_text(to_json(report))
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"[{mark}] {report['group']} {check['suite']}"

@@ -204,15 +204,18 @@ def build_root_complex(system: CoxeterSystem, ordered: OrderedRoots) -> Simplici
     label first: from x, each label j below the last one peeled steps to
     r(rho_j) x when that lowers the reflection length by one, and a walk
     that reaches e has peeled a facet.  Since l(c) = n, every facet has n
-    vertices.
+    vertices.  At length 1, x is a reflection and its own position is the
+    one label that reaches e, so the last label is looked up, not peeled.
     """
     refl = ordered.reflection_index
+    position = {r: j for j, r in enumerate(refl)}
     lengths = system.lengths
     facets: list[tuple[int, ...]] = []
 
     def peel(x: int, below: int, labels: tuple[int, ...]) -> None:
-        if lengths[x] == 0:
-            facets.append(labels)
+        if lengths[x] == 1:
+            if position[x] < below:
+                facets.append((position[x],) + labels)
             return
         for j in range(below):
             y = system.product(refl[j], x)

@@ -13,14 +13,15 @@ reflection hyperplanes.  The exact vertex-root pairing names the root of
 each wall, so a facet cone is a union of chambers reached from one of
 them by walking across the chamber panels that are not walls; the walk
 runs on group elements (``arrangement.chambers`` lists one chamber per
-element).  The resulting 0/1 facet-chamber incidence matrix realizes the
-homology embedding, and its rank certifies injectivity.
+element).  The resulting 0/1 facet-chamber incidence realizes the
+homology embedding, and its rank certifies injectivity; it is kept only
+as its sparse columns, the chamber positions in each facet cone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional
@@ -79,43 +80,33 @@ def vertex_complex(system: CoxeterSystem, ordered: OrderedRoots,
 
 
 @dataclass
-class DotPropertyReport:
-    negative_pairs: list = dataclass_field(default_factory=list)
-    nonzero_band: list = dataclass_field(default_factory=list)
-    nonpositive_slice: list = dataclass_field(default_factory=list)
+class PairingReport:
+    negative_pairs: list
+    nonzero_band: list
 
     @property
     def ok(self) -> bool:
-        return not (self.negative_pairs or self.nonzero_band
-                    or self.nonpositive_slice)
+        return not (self.negative_pairs or self.nonzero_band)
 
 
-def dot_property_report(system: CoxeterSystem, ordered: OrderedRoots,
-                        vc: VertexComplex, v: Optional[Vector] = None
-                        ) -> DotPropertyReport:
+def pairing_report(system: CoxeterSystem, vc: VertexComplex) -> PairingReport:
     """Exhaustive exact checks of the vertex-root pairing:
-    mu(rho_i) . rho_j >= 0 for i <= j; mu(rho_(i+t)) . rho_i = 0 for
-    1 <= t <= n-1; and mu(rho_i) . v > 0 when a slice direction is given.
-    """
-    report = DotPropertyReport()
-    count = ordered.count
-    n = system.rank
-    pairing = vc.pairing
-    for i in range(count):
-        for j in range(i, count):
-            if pairing[i][j].sign() < 0:
-                report.negative_pairs.append((i, j))
-    for i in range(count):
-        for t in range(1, n):
-            if i + t < count:
-                if not pairing[i + t][i].is_zero():
-                    report.nonzero_band.append((i + t, i))
-    if v is not None:
-        co = system.lower(v)
-        for i in range(count):
-            if dot(vc.vertices[i], co).sign() <= 0:
-                report.nonpositive_slice.append(i)
-    return report
+    mu(rho_i) . rho_j >= 0 for i <= j, and mu(rho_(i+t)) . rho_i = 0 for
+    1 <= t <= n-1."""
+    pairing, count = vc.pairing, len(vc.roots)
+    negative = [(i, j) for i in range(count) for j in range(i, count)
+                if pairing[i][j].sign() < 0]
+    band = [(i + t, i) for i in range(count) for t in range(1, system.rank)
+            if i + t < count and not pairing[i + t][i].is_zero()]
+    return PairingReport(negative, band)
+
+
+def nonpositive_slice(system: CoxeterSystem, vc: VertexComplex,
+                      v: Vector) -> list[int]:
+    """The positions i with mu(rho_i) . v <= 0: the vertices that the
+    slice direction v does not see on its positive side."""
+    co = system.lower(v)
+    return [i for i, x in enumerate(vc.vertices) if dot(x, co).sign() <= 0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +272,20 @@ def _facet_walls(vc: VertexComplex, zeros: list[int],
 def _walk_facets(system: CoxeterSystem, vc: VertexComplex,
                  chamber_list: list[Chamber], facets
                  ) -> Iterator[list[int]]:
-    """For each facet in turn, the positions of the chambers inside its
-    cone (see ``facet_chambers``).
+    """For each facet in turn, the sorted positions of the chambers whose
+    closed cone lies inside the simplicial cone spanned by the facet's
+    vertices.
 
-    A descent reaches a chamber whose closure holds the sum x of the
-    facet's vertices: at w, step to w s_k while x . w(a_k) < 0, each step
-    crossing one hyperplane that separates w C from x, so there are at most
-    as many steps as positive roots.  It starts where the previous facet's
-    descent ended (at e for the first), as any start will do.  The walk
-    then crosses every panel that is not a wall.
+    The walls of the cone lie in reflection hyperplanes, so the cone is a
+    union of chambers (W acts simply transitively on them, and the panels
+    of w C lie in the hyperplanes of the roots w(a_k)): a walk over
+    w -> w s_k that does not cross a wall visits exactly these chambers.
+    It starts from a chamber whose closure holds the sum x of the facet's
+    vertices, reached by descent: at w, step to w s_k while
+    x . w(a_k) < 0, each step crossing one hyperplane that separates w C
+    from x, so there are at most as many steps as positive roots.  The
+    descent starts where the previous facet's descent ended (at e for the
+    first), as any start will do.
     """
     perms, pairing = system.perms, vc.pairing
     simple = [system.index_of[g[:system.rank]] for g in system.simple_perms]
@@ -338,36 +334,48 @@ def _walk_facets(system: CoxeterSystem, vc: VertexComplex,
         yield sorted(position[u] for u in queue)
 
 
-def facet_chambers(system: CoxeterSystem, vc: VertexComplex,
-                   facet: tuple[int, ...], chamber_list: list[Chamber]
-                   ) -> list[int]:
-    """Positions of the chambers whose closed cone lies inside the simplicial
-    cone spanned by the facet's vertices.
-
-    The walls of the cone lie in reflection hyperplanes, so the cone is a
-    union of chambers (W acts simply transitively on them, and the panels
-    of w C lie in the hyperplanes of the roots w(a_k)): a walk over
-    w -> w s_k that does not cross a wall visits exactly these chambers.
-    """
-    return next(_walk_facets(system, vc, chamber_list, [facet]))
-
-
 @dataclass
 class EmbeddingReport:
-    """Incidence of bounded-slice chambers with facet cones, plus the
-    verdicts that make the induced homology map injective."""
+    """The facet-chamber incidence and the verdicts that make the induced
+    homology map injective.  The incidence is kept as one sparse column
+    per facet, the sorted positions in the chamber list of the chambers
+    inside the facet cone; its rows are the bounded-slice chambers, and
+    ``rank`` is its exact rank over them."""
 
     facets: list[tuple[int, ...]]
     bounded_positions: list[int]          # positions into the chamber list
-    incidence: list[list[int]]            # rows = bounded chambers, cols = facets
-    column_weights: list[int]
+    columns: list[list[int]]              # per facet, chamber positions
     rank: int
-    injective: bool
-    columns_nonempty: bool
-    columns_disjoint: bool
-    incident_all_bounded: bool
-    covered_chambers: int
-    bounded_count: int
+
+    @property
+    def column_weights(self) -> list[int]:
+        return [len(c) for c in self.columns]
+
+    @property
+    def covered_chambers(self) -> int:
+        return sum(map(len, self.columns))
+
+    @property
+    def bounded_count(self) -> int:
+        return len(self.bounded_positions)
+
+    @property
+    def injective(self) -> bool:
+        return self.rank == len(self.facets)
+
+    @property
+    def columns_nonempty(self) -> bool:
+        return all(self.columns)
+
+    @property
+    def columns_disjoint(self) -> bool:
+        """No chamber lies in two facet cones (a column lists a chamber
+        at most once)."""
+        return len({p for c in self.columns for p in c}) == self.covered_chambers
+
+    @property
+    def incident_all_bounded(self) -> bool:
+        return {p for c in self.columns for p in c} <= set(self.bounded_positions)
 
     @property
     def ok(self) -> bool:
@@ -381,40 +389,11 @@ def embedding_report(system: CoxeterSystem, vc: VertexComplex,
     """The facet-chamber incidence, given the bounded-slice flag of each
     chamber (see ``arrangement.bounded_slice``)."""
     facets = list(vc.complex.facets)
-    bounded_positions = [p for p, b in enumerate(bounded_flags) if b]
-    row_of = {p: r for r, p in enumerate(bounded_positions)}
-
-    incidence = [[0] * len(facets) for _ in bounded_positions]
-    columns = []    # sparse incidence columns, row -> 1
-    incident_all_bounded = True
-    hits_per_chamber = [0] * len(chamber_list)
-    column_weights = []
-    walks = _walk_facets(system, vc, chamber_list, facets)
-    for col, members in enumerate(walks):
-        column_weights.append(len(members))
-        columns.append({})
-        for pos in members:
-            hits_per_chamber[pos] += 1
-            if not bounded_flags[pos]:
-                incident_all_bounded = False
-            else:
-                incidence[row_of[pos]][col] = 1
-                columns[col][row_of[pos]] = 1
-
-    columns_disjoint = all(h <= 1 for h in hits_per_chamber)
-    columns_nonempty = all(w >= 1 for w in column_weights)
-    rank = _sparse_rank(columns)
+    columns = list(_walk_facets(system, vc, chamber_list, facets))
+    rank = _sparse_rank({p: 1 for p in c if bounded_flags[p]} for c in columns)
     return EmbeddingReport(
         facets=facets,
-        bounded_positions=bounded_positions,
-        incidence=incidence,
-        column_weights=column_weights,
+        bounded_positions=[p for p, b in enumerate(bounded_flags) if b],
+        columns=columns,
         rank=rank,
-        injective=(rank == len(facets)),
-        columns_nonempty=columns_nonempty,
-        columns_disjoint=columns_disjoint,
-        incident_all_bounded=incident_all_bounded,
-        covered_chambers=sum(column_weights),
-        bounded_count=len(bounded_positions),
     )
-

@@ -11,10 +11,10 @@ the listed order.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 from . import serialize
+from .serialize import to_json  # noqa: F401  (exports.to_json is public)
 from .pipeline import Bundle
 
 
@@ -86,6 +86,12 @@ def export_lattice(bundle: Bundle) -> dict:
 
 def export_embed(bundle: Bundle) -> dict:
     report = bundle.embedding
+    # the 0/1 incidence, one row per bounded chamber and one column per facet
+    rows = {pos: [0] * len(report.facets) for pos in report.bounded_positions}
+    for col, members in enumerate(report.columns):
+        for pos in members:
+            if pos in rows:
+                rows[pos][col] = 1
     chamber_rows = [{
         "id": pos,
         "element": chamber.element,
@@ -97,8 +103,8 @@ def export_embed(bundle: Bundle) -> dict:
         "facets": [[i + 1 for i in f] for f in report.facets],
         "chambers": chamber_rows,
         "boundedChamberIds": list(report.bounded_positions),
-        "incidence": [list(row) for row in report.incidence],
-        "columnWeights": list(report.column_weights),
+        "incidence": list(rows.values()),
+        "columnWeights": report.column_weights,
         "rank": report.rank,
         "injective": report.injective,
     }
@@ -110,7 +116,3 @@ EXPORTERS = {
     "lattice": export_lattice,
     "embed": export_embed,
 }
-
-
-def to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"

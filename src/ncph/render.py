@@ -136,13 +136,14 @@ def render_svg(bundle: Bundle) -> str:
     ]
 
     # shaded bounded-slice chambers (drawn first, under everything)
+    table = system.orbit_rays[0]
     rays = {}
     for chamber, bounded in zip(bundle.chamber_list, bundle.bounded_flags):
         if not bounded:
             continue
-        for k, ray in zip(chamber.ray_ids, chamber.rays):
+        for k in chamber.ray_ids:
             if k not in rays:
-                rays[k] = _funit(frame, ray)
+                rays[k] = _funit(frame, table[k])
         corners = [rays[k] for k in chamber.ray_ids]
         parts.append(f'<path class="region" d="{_triangle(to_plane, corners)}"/>')
 

@@ -1,19 +1,28 @@
 """Serialization of exact values: rationals as "p/q" strings, scalars as
-power-basis coordinate arrays, vectors and matrices as nested arrays."""
+power-basis coordinate arrays, vectors and matrices as nested arrays; and
+the one JSON encoding of every file written (sorted keys, indent 1, a
+final newline), so equal payloads give equal bytes."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from math import gcd
 
 from .fields import NumberField, Scalar
 
 
-def fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def to_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def scalar(x: Scalar) -> list[str]:
-    return [fraction(c) for c in x.coords]
+    """Coordinate num[i] / den in lowest terms (den > 0)."""
+    out = []
+    for n in x.num:
+        g = gcd(n, x.den)
+        out.append(f"{n // g}/{x.den // g}")
+    return out
 
 
 def vector(v) -> list[list[str]]:

@@ -14,8 +14,8 @@ from .complexes import (ComplexError, boundary, cycle_space_rank,
                         fiber_report, poset_map_report,
                         simplex_length_rule_failures)
 from .coxeter import BudgetExceededError
-from .embed import (EmbedError, dot_property_report,
-                    intersection_lattice_proper_betti, rays_as_flats_check)
+from .embed import (EmbedError, intersection_lattice_proper_betti,
+                    nonpositive_slice, pairing_report, rays_as_flats_check)
 from .linalg import Matrix, dot
 from .pipeline import Bundle
 from .rootorder import RootOrderError
@@ -125,22 +125,20 @@ def _suite_prop41(bundle: Bundle) -> CheckResult:
 
 
 def _suite_prop42(bundle: Bundle) -> CheckResult:
-    report = dot_property_report(bundle.system, bundle.ordered,
-                                 bundle.vertex_complex, bundle.generic.vector)
-    return CheckResult("prop42", not report.nonpositive_slice, {
-        "vertices": len(bundle.vertex_complex.vertices),
-        "nonpositive": len(report.nonpositive_slice),
+    vc = bundle.vertex_complex
+    bad = nonpositive_slice(bundle.system, vc, bundle.generic.vector)
+    return CheckResult("prop42", not bad, {
+        "vertices": len(vc.vertices),
+        "nonpositive": len(bad),
     })
 
 
 def _suite_mu_dots(bundle: Bundle) -> CheckResult:
-    report = dot_property_report(bundle.system, bundle.ordered,
-                                 bundle.vertex_complex)
-    return CheckResult("mu-dots",
-                       not report.negative_pairs and not report.nonzero_band, {
-                           "negativePairs": len(report.negative_pairs),
-                           "nonzeroBand": len(report.nonzero_band),
-                       })
+    report = pairing_report(bundle.system, bundle.vertex_complex)
+    return CheckResult("mu-dots", report.ok, {
+        "negativePairs": len(report.negative_pairs),
+        "nonzeroBand": len(report.nonzero_band),
+    })
 
 
 def _suite_embed(bundle: Bundle) -> CheckResult:

@@ -124,6 +124,25 @@ def test_root_complex_is_the_flag_complex(label, rank, swap):
     assert xc.facets == _flag_root_complex(bundle.system, bundle.ordered)
 
 
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
+                                        ("D", 4), ("F", 4)])
+def test_root_complex_peels_no_reflection(label, rank, monkeypatch):
+    """A reflection's one peeling label is its own position, so the peel
+    multiplies only elements of reflection length at least 2."""
+    bundle = bundle_for(label, rank)
+    system = bundle.system
+    seen, product = [], type(system).product
+
+    def counted(self, a, b):
+        seen.append(self.lengths[b])
+        return product(self, a, b)
+
+    monkeypatch.setattr(type(system), "product", counted)
+    xc = build_root_complex(system, bundle.ordered)
+    assert seen and min(seen) >= 2
+    assert xc.facets == _flag_root_complex(system, bundle.ordered)
+
+
 def _product_chain(system, ordered, simplex):
     """Reference for the simplex map: r(tau_k) ... r(tau_1) as a chain of
     products, one per vertex."""
@@ -494,8 +513,12 @@ def test_sparse_rank_matches_dense_on_every_boundary_matrix(label, rank):
 
 @pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("A", 4)])
 def test_sparse_rank_matches_dense_on_the_incidence_matrix(label, rank):
-    incidence = bundle_for(label, rank).embedding.incidence
+    report = bundle_for(label, rank).embedding
+    members = [set(c) for c in report.columns]
+    incidence = [[int(pos in m) for m in members]
+                 for pos in report.bounded_positions]
     assert _sparse_rank(_columns(incidence)) == _dense_rank(incidence)
+    assert report.rank == _dense_rank(incidence)
 
 
 def _fraction_rank(columns) -> int:

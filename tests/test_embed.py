@@ -1,19 +1,20 @@
-"""The vertex operator, its dot identities, flats, and the incidence matrix."""
+"""The vertex operator, its dot identities, flats, and the incidence columns."""
 
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
 from ncph.complexes import order_complex
-from ncph.embed import (EmbedError, VertexComplex, dot_property_report,
-                        facet_chambers, flat_covers, flat_leq,
-                        intersection_lattice,
-                        intersection_lattice_proper_betti,
-                        rays_as_flats_check, vertex_operator)
+from ncph.embed import (EmbedError, VertexComplex, embedding_report,
+                        flat_covers, flat_leq, intersection_lattice,
+                        intersection_lattice_proper_betti, nonpositive_slice,
+                        pairing_report, rays_as_flats_check, vertex_operator)
+from ncph.exports import export_embed
 from ncph.linalg import Matrix, vec_add, vec_key, vec_scale, vec_sub
 from conftest import bundle_for
 
@@ -41,9 +42,9 @@ def test_operator_of_a_singular_rotation_is_rejected(a2):
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 3)])
 def test_dot_identities_exhaustive(label, rank):
     bundle = bundle_for(label, rank)
-    report = dot_property_report(bundle.system, bundle.ordered,
-                                 bundle.vertex_complex, bundle.generic.vector)
-    assert report.ok
+    system, vc = bundle.system, bundle.vertex_complex
+    assert pairing_report(system, vc).ok
+    assert nonpositive_slice(system, vc, bundle.generic.vector) == []
 
 
 def test_intersection_lattice_a2(a2):
@@ -120,24 +121,23 @@ def test_intersection_lattice_mobius_number_is_the_product_of_exponents(
 
 
 def test_facet_chambers_properties(b3):
-    bounded = set(b3.embedding.bounded_positions)
+    report = b3.embedding
+    assert report.facets == list(b3.vertex_complex.complex.facets)
+    bounded = set(report.bounded_positions)
     total = 0
-    for facet in b3.vertex_complex.complex.facets:
-        members = facet_chambers(b3.system, b3.vertex_complex, facet,
-                                 b3.chamber_list)
+    for members in report.columns:
         assert len(members) >= 1
         assert set(members) <= bounded   # contained chambers are bounded-slice
         total += len(members)
-    assert total == b3.embedding.covered_chambers
+    assert total == report.covered_chambers
 
 
 def test_b3_marked_facet_contains_two_chambers(b3):
     # 1-based vertex labels {2, 4, 8}: internal 0-based {1, 3, 7}
     marked = (1, 3, 7)
-    assert marked in b3.vertex_complex.complex.facets
-    members = facet_chambers(b3.system, b3.vertex_complex, marked,
-                             b3.chamber_list)
-    assert len(members) == 2
+    report = b3.embedding
+    assert marked in report.facets
+    assert len(report.columns[report.facets.index(marked)]) == 2
 
 
 def test_embedding_report_a2(a2):
@@ -151,7 +151,7 @@ def test_embedding_report_b3(b3):
     report = b3.embedding
     assert report.bounded_count == 15
     assert len(report.facets) == 10
-    assert len(report.incidence) == 15
+    assert len(report.columns) == 10
     assert report.rank == 10
     assert report.injective
     assert report.columns_disjoint
@@ -164,32 +164,37 @@ def test_embedding_report_b3(b3):
 def test_facet_chambers_agree_with_the_per_chamber_ray_criterion(label, rank):
     bundle = bundle_for(label, rank)
     system, vc = bundle.system, bundle.vertex_complex
+    report = bundle.embedding
     # every ray of every chamber, mapped by the element's matrix
     chamber_rays = [[system.matrix(c.element).apply(d) for d in system.dual_rays]
                     for c in bundle.chamber_list]
-    for facet in vc.complex.facets:
+    for facet, column in zip(report.facets, report.columns):
         inv = Matrix(system.field,
                      list(zip(*[vc.vertices[i] for i in facet]))).inverse()
         expected = [pos for pos, rays in enumerate(chamber_rays)
                     if all(c.sign() >= 0 for ray in rays for c in inv.apply(ray))]
-        assert facet_chambers(system, vc, facet, bundle.chamber_list) == expected
+        assert column == expected
 
 
 def _per_ray_facet_chambers(system, vc, facet, chamber_list):
     """The chambers whose rays all have nonnegative coordinates in the
-    facet's vertex basis, each distinct ray id decided once."""
+    facet's vertex basis, each distinct ray id decided once; the vectors
+    come from the system's table of orbit rays."""
+    table = system.orbit_rays[0]
     inv = Matrix(system.field,
                  list(zip(*[vc.vertices[i] for i in facet]))).inverse()
     inside = {}
     contained = []
     for pos, chamber in enumerate(chamber_list):
-        for k, ray in zip(chamber.ray_ids, chamber.rays):
+        for k in chamber.ray_ids:
             if k not in inside:
-                inside[k] = all(c.sign() >= 0 for c in inv.apply(ray))
+                inside[k] = all(c.sign() >= 0 for c in inv.apply(table[k]))
             if not inside[k]:
                 break
         else:
-            assert all(c.sign() > 0 for c in inv.apply(chamber.interior))
+            # the sum of the rays is interior to the chamber
+            interior = reduce(vec_add, (table[k] for k in chamber.ray_ids))
+            assert all(c.sign() > 0 for c in inv.apply(interior))
             contained.append(pos)
     return contained
 
@@ -202,13 +207,27 @@ def test_facet_walk_matches_the_per_ray_criterion(label, rank):
     system, vc, chamber_list = (bundle.system, bundle.vertex_complex,
                                 bundle.chamber_list)
     report = bundle.embedding
+    assert len(report.columns) == len(report.facets)
+    # the report's walks start where the previous facet's descent ended
     for col, facet in enumerate(report.facets):
         expected = _per_ray_facet_chambers(system, vc, facet, chamber_list)
-        assert facet_chambers(system, vc, facet, chamber_list) == expected
-        # the report's walks start where the previous facet's descent ended
+        assert report.columns[col] == expected
         assert report.column_weights[col] == len(expected)
-        assert [row[col] for row in report.incidence] == [
-            int(pos in expected) for pos in report.bounded_positions]
+
+
+@pytest.mark.parametrize("label,rank,swap", [
+    ("A", 3, False), ("B", 3, False), ("B", 3, True), ("H", 3, False),
+    ("B", 4, False)])
+def test_exported_incidence_rows_are_the_column_memberships(label, rank, swap):
+    bundle = bundle_for(label, rank, swap)
+    report = bundle.embedding
+    payload = export_embed(bundle)
+    members = [set(c) for c in report.columns]
+    assert payload["boundedChamberIds"] == report.bounded_positions
+    assert payload["incidence"] == [[int(pos in m) for m in members]
+                                    for pos in report.bounded_positions]
+    assert payload["columnWeights"] == [len(m) for m in members]
+    assert payload["rank"] == report.rank == len(report.facets)
 
 
 def _doctored(vc, position, vertex):
@@ -223,7 +242,7 @@ def test_facet_walk_rejects_dependent_vertices(b3):
     f = vc.complex.facets[0]
     doctored = _doctored(vc, f[0], vec_scale(vc.vertices[f[1]], 2))
     with pytest.raises(EmbedError, match="linearly dependent"):
-        facet_chambers(b3.system, doctored, f, b3.chamber_list)
+        embedding_report(b3.system, doctored, b3.chamber_list, b3.bounded_flags)
 
 
 def test_facet_walk_rejects_a_wall_off_the_reflection_hyperplanes(b3):
@@ -238,7 +257,7 @@ def test_facet_walk_rejects_a_wall_off_the_reflection_hyperplanes(b3):
                    and form(vc.vertices[f[2]], rho).is_zero()
                    for rho in vc.roots)
     with pytest.raises(EmbedError, match="no reflection hyperplane"):
-        facet_chambers(b3.system, doctored, f, b3.chamber_list)
+        embedding_report(b3.system, doctored, b3.chamber_list, b3.bounded_flags)
 
 
 def _in_row_space(rref, v):

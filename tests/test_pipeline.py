@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from ncph import serialize
-from ncph.fields import quadratic_field
+from ncph.fields import cosine_field, quadratic_field, rationals
 from ncph.pipeline import Bundle, RunConfig
 from ncph.verify import run_suites
 
@@ -28,6 +29,22 @@ def test_serialize_roundtrip():
     assert serialize.scalar_from(field, serialize.scalar(x)) == x
     v = (x, field.one, field.zero)
     assert serialize.vector_from(field, serialize.vector(v)) == v
+
+
+def test_serialized_scalars_are_the_lowest_terms_fractions():
+    """Each coordinate prints as its Fraction does: p/q in lowest terms,
+    q > 0, and 0 as 0/1."""
+    rng = random.Random(7)
+    for field in (rationals(), quadratic_field(5), cosine_field(7),
+                  cosine_field(15)):
+        for _ in range(50):
+            x = field.from_coords([Fraction(rng.randint(-60, 60),
+                                            rng.randint(1, 36))
+                                   for _ in range(field.degree)])
+            x = x * x - x if rng.random() < 0.5 else x
+            assert serialize.scalar(x) == [f"{c.numerator}/{c.denominator}"
+                                           for c in x.coords]
+        assert serialize.scalar(field.zero) == ["0/1"] * field.degree
 
 
 def test_cache_write_and_load(tmp_path):
