@@ -338,10 +338,12 @@ def fiber_report(ordered: OrderedRoots, xc: SimplicialComplex,
 # order complexes and rational homology
 # ---------------------------------------------------------------------------
 
-def order_complex(covers: list[list[int]]) -> SimplicialComplex:
+def order_complex(covers: list[list[int]],
+                  budget: Optional[int] = None) -> SimplicialComplex:
     """Chains of a poset on labels 0..len(covers)-1, given by the labels
     covering each label; facets are the maximal chains, grown along the
-    covers from every label that nothing covers.
+    covers from every label that nothing covers.  The facets are simplices,
+    so more than ``budget`` of them exceed the simplex budget.
     """
     covered = {b for ups in covers for b in ups}
     chains: list[tuple[int, ...]] = []
@@ -350,6 +352,8 @@ def order_complex(covers: list[list[int]]) -> SimplicialComplex:
         ups = covers[chain[-1]]
         if not ups:
             chains.append(chain)
+            if budget is not None and len(chains) > budget:
+                raise BudgetExceededError(f"simplex budget {budget} exceeded")
         for nxt in ups:
             extend(chain + (nxt,))
 

@@ -3,9 +3,10 @@ basis into it.
 
 The flats of the intersection lattice L(W) are the W-translates of the
 standard parabolic flats, so their reflection sets are integer orbit
-closures on root ids; each distinct flat gets one exact reduced echelon
-basis, of the |J| roots w(a_j) that span its normals, for its normals and
-key.
+closures on root ids.  A flat is its reflection set, with the ids of the
+|J| roots w(a_j) that span its normals; order and covers are subset tests
+on reflection sets.  Exact reduced echelon normals are taken only for the
+export (``flat_normals``).
 
 The operator 2(I - c)^(-1) carries the ordered roots to the vertex
 configuration of a simplicial cone complex whose facet walls lie in
@@ -20,7 +21,6 @@ as its sparse columns, the chamber positions in each facet cone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -31,7 +31,7 @@ from .complexes import (DEFAULT_SIMPLEX_BUDGET, SimplicialComplex,
                         _sparse_rank, betti_numbers, order_complex)
 from .coxeter import CoxeterSystem, closure
 from .fields import Scalar
-from .linalg import Matrix, Vector, dot, vec_key
+from .linalg import Matrix, Vector, dot
 from .rootorder import OrderedRoots
 
 
@@ -115,36 +115,22 @@ def nonpositive_slice(system: CoxeterSystem, vc: VertexComplex,
 
 @dataclass(frozen=True)
 class Flat:
-    """An intersection of reflection hyperplanes, canonically the reduced
-    echelon basis of the span of its defining normals (roots, in
-    simple-root coordinates; the flat is their orthogonal complement under
-    the form), together with the positions in ``system.reflections`` of
-    every hyperplane containing it."""
+    """An intersection of reflection hyperplanes, given by the positions in
+    ``system.reflections`` of every hyperplane containing it (a flat is the
+    intersection of those hyperplanes), and by the ids in ``system.roots``
+    of codim roots that span its normal space."""
 
-    normals: tuple   # tuple of Vectors, RREF rows
     reflections: frozenset[int]
+    basis: tuple[int, ...]
 
     @property
     def codim(self) -> int:
-        return len(self.normals)
-
-    @property
-    def key(self) -> tuple:
-        """The rational coordinates of the normals (``vec_key`` per row)."""
-        return tuple(vec_key(r) for r in self.normals)
-
-
-def _rref_rows(field, rows) -> tuple:
-    if not rows:
-        return ()
-    rref = Matrix(field, rows).rref()
-    return tuple(r for r in rref.rows if not all(e.is_zero() for e in r))
+        return len(self.basis)
 
 
 def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
     """All intersections of subfamilies of the arrangement, from the whole
-    space (codim 0) down to the origin (codim n), ordered by (codim,
-    canonical key).
+    space (codim 0) down to the origin (codim n), ordered by codim.
 
     Every flat is a W-translate w X_J of a standard parabolic flat X_J, the
     intersection of the walls of the simple roots in J (Barcelo-Ihrig), and
@@ -152,9 +138,8 @@ def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
     the reflection sets come from closing the simple roots in J under their
     own reflections and then under all simple reflections, on root ids.
     Each image g w(Phi_J) carries the ids g w(a_j), j in J, of its parent:
-    these |J| roots span the normal space of the flat, and the field is
-    needed only for the reduced echelon basis of their span (unique, so it
-    is the flat's canonical basis and key).
+    these |J| independent roots span the normal space of the flat.  No
+    field arithmetic is done.
     """
     position = {i: p for p, (i, _) in enumerate(system.reflections)}
     of_root = [position[i] for i in system.reflection_of]
@@ -174,18 +159,21 @@ def intersection_lattice(system: CoxeterSystem) -> list[Flat]:
                     if new not in basis:
                         basis[new] = tuple(g[k] for k in basis[image])
                         queue.append(new)
-    flats = []
-    for phi, ids in basis.items():
-        refs = frozenset(of_root[k] for k in phi)
-        normals = _rref_rows(system.field, [system.roots[k] for k in ids])
-        if len(normals) != len(ids):
-            raise EmbedError("a reflection set spans the wrong codimension")
-        flats.append(Flat(normals, refs))
-    # (codim, key) order on integers: every coordinate numerator over one
-    # common denominator, flattened (keys of one codim have one shape)
-    den = math.lcm(*(x.den for f in flats for r in f.normals for x in r))
-    return sorted(flats, key=lambda f: (f.codim, tuple(
-        n * (den // x.den) for r in f.normals for x in r for n in x.num)))
+    # the flats of codim |J| are all found in the pass over |J|
+    return [Flat(frozenset(of_root[k] for k in phi), ids)
+            for phi, ids in basis.items()]
+
+
+def flat_normals(system: CoxeterSystem, flat: Flat) -> tuple:
+    """The reduced echelon basis of the flat's normal space (roots, in
+    simple-root coordinates; the flat is their orthogonal complement under
+    the form): unique per flat, so it is the flat's canonical basis, and
+    (codim, rational coordinates of these rows) orders the flats totally."""
+    rows = Matrix(system.field, [system.roots[k] for k in flat.basis]).rref()
+    normals = tuple(r for r in rows.rows if not all(e.is_zero() for e in r))
+    if len(normals) != flat.codim:
+        raise EmbedError("a reflection set spans the wrong codimension")
+    return normals
 
 
 def flat_leq(a: Flat, b: Flat) -> bool:
@@ -217,7 +205,7 @@ def intersection_lattice_proper_betti(system: CoxeterSystem,
     if flats is None:
         flats = intersection_lattice(system)
     proper = [f for f in flats if 0 < f.codim < system.rank]
-    return betti_numbers(order_complex(flat_covers(proper)), budget)
+    return betti_numbers(order_complex(flat_covers(proper), budget), budget)
 
 
 def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
@@ -231,7 +219,8 @@ def rays_as_flats_check(system: CoxeterSystem, rays: list[Vector],
     ray_keys = set(rays)
     line_keys = set()
     for f in lines:
-        kernel = Matrix(system.field, list(f.normals)).kernel()
+        kernel = Matrix(system.field,
+                        [system.roots[k] for k in f.basis]).kernel()
         if len(kernel) != 1:
             return False
         line_keys.add(canonical_ray(gram_inverse.apply(kernel[0])))

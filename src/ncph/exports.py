@@ -15,6 +15,8 @@ from itertools import combinations
 
 from . import serialize
 from .serialize import to_json  # noqa: F401  (exports.to_json is public)
+from .embed import flat_covers, flat_normals
+from .linalg import vec_key
 from .pipeline import Bundle
 
 
@@ -58,8 +60,11 @@ def export_xc(bundle: Bundle) -> dict:
 
 
 def export_lattice(bundle: Bundle) -> dict:
-    from .embed import flat_covers
-    flats = bundle.lattice
+    system = bundle.system
+    # by codim, then by the rational coordinates of the canonical normals
+    normals = {f: flat_normals(system, f) for f in bundle.lattice}
+    flats = sorted(bundle.lattice, key=lambda f: (
+        f.codim, tuple(map(vec_key, normals[f]))))
     # strict up-sets as bitsets, grown along the covers from the last flat
     # (covers come later); only the set bits are visited, in ascending order
     covers = flat_covers(flats)
@@ -78,7 +83,7 @@ def export_lattice(bundle: Bundle) -> dict:
         "flats": [{
             "id": i,
             "codim": f.codim,
-            "normals": [serialize.vector(r) for r in f.normals],
+            "normals": [serialize.vector(r) for r in normals[f]],
         } for i, f in enumerate(flats)],
         "order": order,
     }

@@ -389,12 +389,6 @@ class Scalar:
             return NotImplemented
         return self._combine(o, sub)
 
-    def __rsub__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return Scalar(self.field, tuple([-x for x in self.num]), self.den)
 
@@ -432,12 +426,6 @@ class Scalar:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     # -- comparisons ----------------------------------------------------------
 
@@ -500,18 +488,6 @@ class Scalar:
     def __lt__(self, other):
         o = self._pair(other)
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._pair(other)
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._pair(other)
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._pair(other)
-        return (self - o).sign() >= 0
 
     def __float__(self):
         # the same float as summing float(coords[i]) by Horner's rule

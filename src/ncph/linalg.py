@@ -101,14 +101,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows)))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, [vec_add(r, s) for r, s in zip(self.rows, other.rows)])
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, [vec_sub(r, s) for r, s in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [vec_neg(r) for r in self.rows])
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -117,12 +111,6 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field is other.field
                 and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def key(self) -> tuple:
-        return tuple(vec_key(r) for r in self.rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"

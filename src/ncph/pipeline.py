@@ -110,7 +110,8 @@ class Bundle:
         # proper positions 1..top-1 become labels 0..top-2
         top = self.ncp.top
         return order_complex([[b - 1 for b in ups if b != top]
-                              for ups in self.ncp.covers[1:top]])
+                              for ups in self.ncp.covers[1:top]],
+                             self.config.simplex_budget)
 
     @cached_property
     def ncp_betti(self) -> dict[int, int]:

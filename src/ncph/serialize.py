@@ -6,10 +6,9 @@ final newline), so equal payloads give equal bytes."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd
 
-from .fields import NumberField, Scalar
+from .fields import Scalar
 
 
 def to_json(payload: dict) -> str:
@@ -31,11 +30,3 @@ def vector(v) -> list[list[str]]:
 
 def matrix(m) -> list[list[list[str]]]:
     return [vector(row) for row in m.rows]
-
-
-def scalar_from(field: NumberField, data) -> Scalar:
-    return field.from_coords([Fraction(c) for c in data])
-
-
-def vector_from(field: NumberField, data) -> tuple:
-    return tuple(scalar_from(field, x) for x in data)

@@ -307,6 +307,20 @@ def test_order_complex_antichain_and_chain():
     assert betti_numbers(chain) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
+def test_order_complex_stops_at_the_simplex_budget():
+    """The maximal chains are facets, so listing more of them than the
+    budget allows raises before any face is counted."""
+    ncp = bundle_for("B", 4).ncp
+    covers = [[b - 1 for b in ups if b != ncp.top]
+              for ups in ncp.covers[1:ncp.top]]
+    facets = len(order_complex(covers).facets)
+    assert facets == 4 ** 4
+    assert len(order_complex(covers, facets).facets) == facets
+    with pytest.raises(BudgetExceededError,
+                       match=f"^simplex budget {facets - 1} exceeded$"):
+        order_complex(covers, facets - 1)
+
+
 def _cubic_covers_and_chains(size, leq):
     """Covers and minimal elements by testing every (a, m, b) triple, and
     the maximal chains grown along the covers."""

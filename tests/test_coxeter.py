@@ -234,8 +234,8 @@ def test_reducible_diagram_rejected():
 def test_c_is_alias_of_b():
     b = CoxeterSystem(CoxeterDiagram.from_type("B", 3))
     c = CoxeterSystem(CoxeterDiagram.from_type("C", 3))
-    assert ([b.matrix(i).key() for i in range(b.order)]
-            == [c.matrix(i).key() for i in range(c.order)])
+    assert ([b.matrix(i).rows for i in range(b.order)]
+            == [c.matrix(i).rows for i in range(c.order)])
 
 
 @pytest.mark.parametrize("swap", [False, True])

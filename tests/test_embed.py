@@ -1,7 +1,6 @@
 """The vertex operator, its dot identities, flats, and the incidence columns."""
 
 import math
-import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -9,12 +8,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from ncph import serialize
 from ncph.complexes import order_complex
 from ncph.embed import (EmbedError, VertexComplex, embedding_report,
-                        flat_covers, flat_leq, intersection_lattice,
+                        flat_covers, flat_leq, flat_normals,
+                        intersection_lattice,
                         intersection_lattice_proper_betti, nonpositive_slice,
                         pairing_report, rays_as_flats_check, vertex_operator)
-from ncph.exports import export_embed
+from ncph.exports import export_embed, export_lattice
+from ncph.fields import Scalar
 from ncph.linalg import Matrix, vec_add, vec_key, vec_scale, vec_sub
 from conftest import bundle_for
 
@@ -81,11 +83,29 @@ def test_flat_order_is_reverse_inclusion(a2):
 def test_flat_order_agrees_with_the_rank_criterion(label, rank):
     system = bundle_for(label, rank).system
     flats = intersection_lattice(system)
-    for a in flats:
-        for b in flats:
+    normals = [flat_normals(system, f) for f in flats]
+    for a, na in zip(flats, normals):
+        for b, nb in zip(flats, normals):
             # a <= b iff the normals of a lie in the span of the normals of b
-            stacked = Matrix(system.field, list(b.normals) + list(a.normals))
+            stacked = Matrix(system.field, list(nb) + list(na))
             assert flat_leq(a, b) == (stacked.rank() == b.codim)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("H", 3), ("F", 4)])
+def test_intersection_lattice_makes_no_field_call(label, rank, monkeypatch):
+    system = bundle_for(label, rank).system
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic while building L(W)")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    flats = intersection_lattice(system)
+    monkeypatch.undo()
+    codims = [f.codim for f in flats]
+    assert codims == sorted(codims)
+    assert codims[0] == 0 and codims[-1] == rank
+    assert all(len(flat_normals(system, f)) == f.codim for f in flats)
 
 
 @pytest.mark.parametrize("label,rank,exponents", [
@@ -301,23 +321,34 @@ def _rref_closure(system):
     return [seen[k] for k in sorted(seen, key=lambda k: (len(k), k))]
 
 
+def _flat_key(system, flat):
+    """(codim, rational coordinates of the canonical normals)."""
+    return flat.codim, tuple(map(vec_key, flat_normals(system, flat)))
+
+
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
                                         ("A", 4), ("D", 4), ("F", 4)])
 def test_intersection_lattice_matches_the_rref_closure(label, rank):
-    system = bundle_for(label, rank).system
-    flats = intersection_lattice(system)
+    bundle = bundle_for(label, rank)
+    system = bundle.system
+    flats = sorted(intersection_lattice(system),
+                   key=lambda f: _flat_key(system, f))
     expected = _rref_closure(system)
-    assert [f.normals for f in flats] == [normals for normals, _ in expected]
-    assert [f.key for f in flats] == [tuple(vec_key(r) for r in normals)
-                                      for normals, _ in expected]
+    assert [flat_normals(system, f) for f in flats] == [
+        normals for normals, _ in expected]
+    assert [f["normals"] for f in export_lattice(bundle)["flats"]] == [
+        [serialize.vector(r) for r in normals] for normals, _ in expected]
     assert [f.reflections for f in flats] == [refs for _, refs in expected]
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("H", 3),
                                         ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
 def test_intersection_lattice_integer_order_is_the_fraction_key_order(label, rank):
-    flats = bundle_for(label, rank).lattice
-    assert len({f.key for f in flats}) == len(flats)   # a total order
-    shuffled = list(flats)
-    random.Random(label + str(rank)).shuffle(shuffled)
-    assert sorted(shuffled, key=lambda f: (f.codim, f.key)) == flats
+    bundle = bundle_for(label, rank)
+    keys = [_flat_key(bundle.system, f) for f in bundle.lattice]
+    assert len(set(keys)) == len(keys)   # a total order
+    # the exported flats, read back as Fractions, come in key order
+    exported = [(f["codim"], tuple(tuple(tuple(map(Fraction, x)) for x in r)
+                                   for r in f["normals"]))
+                for f in export_lattice(bundle)["flats"]]
+    assert exported == sorted(keys)

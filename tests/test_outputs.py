@@ -1,5 +1,6 @@
 """The written reports and exports: pinned bytes for I2(7), I2(8), rank 3
-and F4; and the pinned stdout of `ncph info`."""
+and F4, and of the lattice export for the other rank-4 groups; and the
+pinned stdout of `ncph info`."""
 
 import hashlib
 
@@ -111,6 +112,30 @@ def test_report_and_export_bytes_are_pinned(label, rank, swap, tmp_path):
         (tmp_path / f"{stem}-{name}.json").read_bytes()).hexdigest()
         for name in PINNED[label, rank, swap]}
     assert found == PINNED[label, rank, swap]
+
+
+# sha256 of the file written by `ncph export lattice <TYPE> <RANK> --no-cache`,
+# with and without --swap-classes
+LATTICE_PINNED = {
+    ("A", "4", False): "c1ac6d6ec557dae3c4d18b17e25fcf432775ec554d11e33dd7ed1751bdc9e0d0",
+    ("A", "4", True): "54e202f309a2e34cced520fcc11067053475b7c6efa6abfc1d2cb0a2a74d8bd2",
+    ("D", "4", False): "9da4e0ed3234298864adaf1a597469cf957a917c5e479fcbcd342e67e0e096d8",
+    ("D", "4", True): "1479387f7c1e14ec9e8df3867d5899f209eab28a125e24391556f5fe1c25c5cd",
+    ("B", "4", False): "23626086a966562007c4473450ed31e32d2a1ae8f9d1b0927b6a3b7836e2eddd",
+    ("B", "4", True): "bbaed0f2e8d36f529cfbfa2db8833508ab1c8173846d835db7bf1b40c5de14d8",
+    ("H", "4", False): "9b7082deebe269d74f29bcb759164c918916f0e8071c583b01a8760ff121de13",
+    ("H", "4", True): "a3689a06756b18cab31e703dd4ac481d853162b6771f9e327ea8e9247cfc8fe0",
+}
+
+
+@pytest.mark.parametrize("label,rank,swap", list(LATTICE_PINNED))
+def test_lattice_export_bytes_are_pinned(label, rank, swap, tmp_path):
+    args = ["export", "lattice", label, rank, "--out", str(tmp_path),
+            "--no-cache"] + (["--swap-classes"] if swap else [])
+    assert main(args) == 0
+    stem = CoxeterDiagram.from_type(label, int(rank)).label
+    data = (tmp_path / f"{stem}-lattice.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == LATTICE_PINNED[label, rank, swap]
 
 
 # sha256 of the stdout of `ncph info <TYPE> <RANK> --no-cache`: the root
