@@ -23,7 +23,7 @@ from .exports import EXPORTERS
 from .fields import FieldError
 from .pipeline import Bundle, RunConfig
 from .rootorder import RootOrderError
-from .serialize import to_json, vector
+from .serialize import vector, write_json
 from .verify import SUITES, run_suites
 
 
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['group']}-verify.json"
-    path.write_text(to_json(report))
+    write_json(path, report)
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"[{mark}] {report['group']} {check['suite']}"
@@ -148,7 +148,7 @@ def cmd_export(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{bundle.system.diagram.label}-{args.target}.json"
-    path.write_text(to_json(payload))
+    write_json(path, payload)
     print(path)
     return 0
 

@@ -31,10 +31,9 @@ columns over the top faces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
-from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .coxeter import BudgetExceededError, CoxeterSystem, closure
@@ -92,23 +91,6 @@ class SimplicialComplex:
     def __repr__(self):
         return (f"SimplicialComplex({len(self.vertices)} vertices, "
                 f"{len(self.facets)} facets, dim {self.dim})")
-
-
-def full_subcomplex(complex_: SimplicialComplex, keep: Iterable[int]) -> SimplicialComplex:
-    """The subcomplex induced on a vertex subset.  Its facets are the traces
-    of the facets that lie in no other trace: the traces holding every
-    vertex of one, as a bitset over positions, must be that one alone."""
-    keep = set(keep)
-    traces = sorted({tuple(v for v in f if v in keep)
-                     for f in complex_.facets} - {()})
-    holding = dict.fromkeys(keep, 0)
-    for pos, t in enumerate(traces):
-        for v in t:
-            holding[v] |= 1 << pos
-    everything = (1 << len(traces)) - 1
-    return SimplicialComplex(keep & set(complex_.vertices), [
-        t for pos, t in enumerate(traces)
-        if reduce(and_, (holding[v] for v in t), everything) == 1 << pos])
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +221,6 @@ def simplex_images(system: CoxeterSystem, ordered: OrderedRoots,
         images[simplex] = (system.product(last, images[simplex[:-1]])
                            if len(simplex) > 1 else last)
     return images
-
-
-def restricted_complex(system: CoxeterSystem, ordered: OrderedRoots,
-                       xc: SimplicialComplex, w: int) -> SimplicialComplex:
-    """Full subcomplex on the roots whose reflections precede w."""
-    if not system.precedes(w, system.c_index):
-        raise ComplexError("element is not below c in absolute order")
-    keep = [i for i in range(ordered.count)
-            if system.precedes(ordered.reflection_index[i], w)]
-    return full_subcomplex(xc, keep)
 
 
 def simplex_length_rule_failures(system: CoxeterSystem,

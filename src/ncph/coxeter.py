@@ -504,23 +504,6 @@ class CoxeterSystem:
         rank = self._root_rank
         return (self.lengths[i], tuple(rank[k] for k in self.keys[i]))
 
-    def bfs_reflection_lengths(self) -> list[int]:
-        """Independent oracle: minimal word length over all reflections."""
-        dist = [-1] * self.order
-        dist[self.e_index] = 0
-        frontier = [self.e_index]
-        refl = [i for i, _ in self.reflections]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for t in refl:
-                    j = self.product(i, t)
-                    if dist[j] < 0:
-                        dist[j] = dist[i] + 1
-                        nxt.append(j)
-            frontier = nxt
-        return dist
-
     def __repr__(self):
         return (f"CoxeterSystem({self.diagram.label}, |W|={self.order}, "
                 f"h={self.h}, field={self.field.name})")

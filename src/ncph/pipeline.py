@@ -29,7 +29,7 @@ from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
 from .coxeter import (DEFAULT_GROUP_CAP, CoxeterDiagram, CoxeterSystem)
 from .embed import EmbeddingReport, VertexComplex, embedding_report, vertex_complex
 from .rootorder import OrderedRoots, ordered_roots
-from .serialize import to_json
+from .serialize import write_json
 
 CACHE_VERSION = 3
 
@@ -176,7 +176,7 @@ def _write_system_cache(config: RunConfig, system: CoxeterSystem) -> None:
         "h": system.h,
         "lengths": system.lengths,
     }
-    path.write_text(to_json(payload))
+    write_json(path, payload)
 
 
 def _load_system_cache(config: RunConfig) -> Optional[CoxeterSystem]:

@@ -10,7 +10,7 @@ import time
 from ncph.complexes import (boundary, cycle_space_rank, fiber_report,
                             poset_map_report)
 from ncph.embed import intersection_lattice_proper_betti
-from conftest import bundle_for
+from conftest import bfs_reflection_lengths, bundle_for
 
 GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("H", 3),
           ("I", 3), ("I", 4), ("I", 5), ("I", 6), ("I", 7), ("I", 8)]
@@ -162,7 +162,7 @@ def test_criterion_10_length_oracle_equivalence():
     ok = True
     for label, rank in RANK3:
         bundle = bundle_for(label, rank)
-        ok = ok and (bundle.system.bfs_reflection_lengths()
+        ok = ok and (bfs_reflection_lengths(bundle.system)
                      == bundle.system.lengths)
     _verdict(10, ok, "fixed-space codimension length = breadth-first minimal "
                      "word length for every element of every group")

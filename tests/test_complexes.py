@@ -11,13 +11,13 @@ from ncph.complexes import (ComplexError, SimplicialComplex, _sparse_rank,
                             betti_numbers, boundary, build_ncp,
                             build_root_complex, cycle_space_rank,
                             facet_boundary_cycles, fiber_report,
-                            full_subcomplex, order_complex, poset_map_report,
-                            restricted_complex, simplex_length_rule_failures)
+                            order_complex, poset_map_report,
+                            simplex_length_rule_failures)
 from ncph.coxeter import BudgetExceededError
 from ncph.embed import flat_covers, flat_leq, intersection_lattice
 from ncph.fields import rationals
 from ncph.linalg import Matrix
-from conftest import bundle_for
+from conftest import bundle_for, full_subcomplex, restricted_complex
 
 
 def test_ncp_rank_one():

@@ -8,7 +8,7 @@ import pytest
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                           NotFiniteTypeError, bipartite_order)
 from ncph.linalg import Matrix
-from conftest import bundle_for, interior_point
+from conftest import bfs_reflection_lengths, bundle_for, interior_point
 
 
 def test_bipartite_order_examples():
@@ -100,7 +100,7 @@ def test_reflection_lengths():
     ("F", 4)])
 def test_length_equals_bfs_word_length(label, rank):
     system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
-    assert system.bfs_reflection_lengths() == system.lengths
+    assert bfs_reflection_lengths(system) == system.lengths
 
 
 def test_rank_two_lengths_take_no_exact_rank(monkeypatch):
