@@ -13,11 +13,15 @@ and its checks and the basis cycles read the table.
 NC(W) is grown down from c: [e, c] is closed downward and graded by
 reflection length (Bessis; Brady-Watt), so the steps w -> w t that lower
 the length by one reach all of it, and reversed they are its covers.  No
-element of W outside [e, c] is ever visited.  Posets are given by their
-covers, and order questions inside NC(W) read the down-sets grown from
-them.  An order complex has the maximal chains grown along the covers as
-its facets; these, like the factorizations of c, are never nested, so a
-complex takes its facets as given.
+element of W outside [e, c] is ever visited, and from a member only the
+reflections below the member that first reached it are tried.  Posets are
+given by their covers, and order questions inside NC(W) read bitsets over
+positions grown from them: the Moebius recursion sums over the strict
+down-sets, and the fiber check compares, per simplex of the flag complex,
+the up-set of its image with the meet of its vertices' up-sets.  An order
+complex has the maximal chains grown along the covers as its facets;
+these, like the factorizations of c, are never nested, so a complex takes
+its facets as given.
 
 Homology is computed over the rationals from exact ranks of the sparse
 integer boundary matrices, found by fraction-free column reduction.  The
@@ -32,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, compress, count, permutations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .coxeter import BudgetExceededError, CoxeterSystem, closure
+from .coxeter import BudgetExceededError, CoxeterSystem
 from .rootorder import OrderedRoots
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
@@ -138,12 +142,31 @@ class NcpLattice:
                 down[b] |= down[a] | 1 << a
         return down
 
+    @cached_property
+    def above(self) -> list[int]:
+        """Inclusive up-sets, as bitsets over positions, grown from the top
+        along the covers: the mirror of ``below``."""
+        up = [1 << a for a in range(self.size)]
+        for a in reversed(range(self.size)):
+            for b in self.covers[a]:
+                up[a] |= up[b]
+        return up
+
     def mobius_number(self) -> int:
-        mu = []
-        for pos, down in enumerate(self.below):
-            mu.append(-sum(m for q, m in enumerate(mu) if down >> q & 1)
-                      if pos != self.bottom else 1)
+        """mu(e, c) by the recursion mu(e, w) = -sum of mu(e, u) over u < w,
+        summed over the set bits of each strict down-set."""
+        mu = [1]
+        for down in self.below[1:]:
+            mu.append(-sum(compress(mu, _bit_flags(down))))
         return mu[self.top]
+
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(bits: int) -> bytes:
+    """Byte q is 1 when bit q of ``bits`` is set and 0 otherwise."""
+    return bin(bits)[:1:-1].encode().translate(_DIGITS)
 
 
 def build_ncp(system: CoxeterSystem) -> NcpLattice:
@@ -151,18 +174,29 @@ def build_ncp(system: CoxeterSystem) -> NcpLattice:
     graded by reflection length, so the steps w -> w t that lower the
     length by one reach all of it from c, and reversed they are its
     covers: u is covered by u t exactly when l(u t) = l(u) + 1 and u t
-    lies in the interval."""
+    lies in the interval.
+
+    l(w t) = l(w) - 1 exactly when t <= w, so the down-steps of w are its
+    reflections.  A member u first reached from w has u <= w, so its own
+    reflections are among w's: they alone are tried from u, and from c,
+    above which nothing lies, every reflection is."""
     lengths = system.lengths
-    reflections = [t for t, _ in system.reflections]
+    tried = {system.c_index: [t for t, _ in system.reflections]}
+    members = [system.c_index]
     steps: dict[int, list[int]] = {}
-
-    def down(w: int) -> list[int]:
-        below = [u for u in (system.product(w, t) for t in reflections)
-                 if lengths[u] == lengths[w] - 1]
+    for w in members:
+        drop = lengths[w] - 1
+        below, own = [], []
+        for t in tried[w]:
+            u = system.product(w, t)
+            if lengths[u] == drop:
+                below.append(u)
+                own.append(t)
         steps[w] = below
-        return below
-
-    members = closure([system.c_index], down)
+        for u in below:
+            if u not in tried:
+                tried[u] = own
+                members.append(u)
     members.sort(key=system.element_sort_key)
     position = {g: p for p, g in enumerate(members)}
     covers: list[list[int]] = [[] for _ in members]
@@ -282,28 +316,32 @@ def fiber_report(ordered: OrderedRoots, xc: SimplicialComplex,
     simplices of the restricted complex, the full subcomplex on the roots
     whose reflections precede w.
 
-    Both sides are read from the lattice's down-sets.  An image below w
-    lies below c, so the left side is the images whose NC(W) position is a
-    bit of w's down-set; an image outside NC(W) precedes no w.  Every
-    reflection lies in NC(W), so t <= w is one bit of w's down-set, and
-    the restricted complex holds the simplices whose vertices all lie in
-    the kept set.
+    Both sides are read per simplex s from the lattice's up-sets, as
+    bitsets over the proper positions.  An image below w lies below c, so
+    s lies in the fibers of the proper positions above its image; an image
+    outside NC(W), or a simplex the table lacks, lies in none.  Every
+    reflection lies in NC(W), so s lies in the restricted complexes of the
+    proper positions above all of its vertices' reflections.  The bits in
+    which the two sides differ are the fibers that s breaks.
     """
-    report = FiberReport()
-    placed = {s: ncp.position[u] for s, u in images.items()
-              if len(s) < ncp.system.rank and u in ncp.position}
-    vertex_position = [ncp.position[t] for t in ordered.reflection_index]
-    masks = {s: sum(1 << v for v in s) for s in xc.all_simplices()}
-    for pos in ncp.proper_positions():
-        down = ncp.below[pos] | 1 << pos
-        lhs = {s for s, p in placed.items() if down >> p & 1}
-        keep = sum(1 << v for v, p in enumerate(vertex_position)
-                   if down >> p & 1)
-        rhs = {s for s, mask in masks.items() if mask & keep == mask}
-        if lhs != rhs:
-            report.mismatches.append((ncp.elements[pos], sorted(lhs ^ rhs)))
-        report.checked += 1
-    return report
+    rank, position, above = ncp.system.rank, ncp.position, ncp.above
+    proper = ((1 << ncp.top) - 1) & ~(1 << ncp.bottom)
+    vertex_above = [above[position[t]] for t in ordered.reflection_index]
+    restricted: dict[tuple, int] = {}
+    for s in xc.all_simplices():
+        restricted[s] = (restricted.get(s[:-1], proper)
+                         & vertex_above[s[-1]])
+    broken: dict[int, list[tuple]] = {}
+    for s in restricted.keys() | images.keys():
+        u = images.get(s)
+        fiber = (above[position[u]] & proper
+                 if len(s) < rank and u in position else 0)
+        diff = fiber ^ restricted.get(s, 0)
+        if diff:
+            for pos in compress(count(), _bit_flags(diff)):
+                broken.setdefault(pos, []).append(s)
+    return FiberReport(len(ncp.proper_positions()), [
+        (ncp.elements[pos], sorted(broken[pos])) for pos in sorted(broken)])
 
 
 # ---------------------------------------------------------------------------

@@ -235,14 +235,6 @@ class NumberField:
             raise TypeError(f"cannot coerce {q!r} into {self.name}")
         return Scalar(self, (q.numerator,) + self._zero_tail, q.denominator)
 
-    def from_coords(self, coords) -> "Scalar":
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != self.degree:
-            raise FieldError("coordinate vector has wrong length")
-        den = math.lcm(*(c.denominator for c in coords))
-        return self.from_ints(
-            [c.numerator * (den // c.denominator) for c in coords], den)
-
     def coerce(self, value) -> "Scalar":
         if isinstance(value, Scalar):
             if value.field is not self:
@@ -253,10 +245,6 @@ class NumberField:
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     # -- isolating interval ---------------------------------------------------
-
-    def interval(self) -> tuple[Fraction, Fraction]:
-        lo, hi, q = self._scaled_interval
-        return Fraction(lo, q), Fraction(hi, q)
 
     def _bisect(self, lo: int, hi: int, q: int) -> tuple[int, int, int]:
         """The half of (lo/q, hi/q) that holds theta, in lowest terms when

@@ -18,10 +18,6 @@ from .fields import FieldError, NumberField, Scalar
 Vector = tuple  # tuple[Scalar, ...]
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 

@@ -1,11 +1,36 @@
 import functools
+import math
+from fractions import Fraction
 from operator import and_
 
 import pytest
 
-from ncph.complexes import ComplexError, SimplicialComplex
-from ncph.linalg import vec_add
+from ncph.complexes import (ComplexError, FiberReport, NcpLattice,
+                            SimplicialComplex)
+from ncph.coxeter import closure
+from ncph.fields import FieldError
 from ncph.pipeline import Bundle, RunConfig
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def from_coords(field, coords):
+    """The scalar with the given rational coordinates over 1, theta, ...,
+    theta^(d-1)."""
+    coords = [Fraction(c) for c in coords]
+    if len(coords) != field.degree:
+        raise FieldError("coordinate vector has wrong length")
+    den = math.lcm(*(c.denominator for c in coords))
+    return field.from_ints(
+        [c.numerator * (den // c.denominator) for c in coords], den)
+
+
+def field_interval(field):
+    """The field's current isolating interval, as Fractions."""
+    lo, hi, q = field._scaled_interval
+    return Fraction(lo, q), Fraction(hi, q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,6 +92,60 @@ def restricted_complex(system, ordered, xc: SimplicialComplex,
     keep = [i for i in range(ordered.count)
             if system.precedes(ordered.reflection_index[i], w)]
     return full_subcomplex(xc, keep)
+
+
+def walk_ncp(system) -> NcpLattice:
+    """Second route to ``build_ncp``: NC(W) grown down from c, trying every
+    reflection from every member."""
+    lengths = system.lengths
+    reflections = [t for t, _ in system.reflections]
+    steps = {}
+
+    def down(w):
+        steps[w] = [u for u in (system.product(w, t) for t in reflections)
+                    if lengths[u] == lengths[w] - 1]
+        return steps[w]
+
+    members = closure([system.c_index], down)
+    members.sort(key=system.element_sort_key)
+    position = {g: p for p, g in enumerate(members)}
+    covers = [[] for _ in members]
+    for p, w in enumerate(members):
+        for u in steps[w]:
+            covers[position[u]].append(p)
+    return NcpLattice(system, members, position, covers)
+
+
+def reference_mobius_number(ncp: NcpLattice) -> int:
+    """Second route to ``mobius_number``: the recursion over every earlier
+    position, O(|NC|^2) bit tests."""
+    mu = []
+    for pos, down in enumerate(ncp.below):
+        mu.append(-sum(m for q, m in enumerate(mu) if down >> q & 1)
+                  if pos != ncp.bottom else 1)
+    return mu[ncp.top]
+
+
+def reference_fiber_report(ordered, xc: SimplicialComplex, ncp: NcpLattice,
+                           images: dict) -> FiberReport:
+    """Second route to ``fiber_report``: one proper element at a time, both
+    sides read from its strict down-set, every simplex scanned per
+    element."""
+    report = FiberReport()
+    placed = {s: ncp.position[u] for s, u in images.items()
+              if len(s) < ncp.system.rank and u in ncp.position}
+    vertex_position = [ncp.position[t] for t in ordered.reflection_index]
+    masks = {s: sum(1 << v for v in s) for s in xc.all_simplices()}
+    for pos in ncp.proper_positions():
+        down = ncp.below[pos] | 1 << pos
+        lhs = {s for s, p in placed.items() if down >> p & 1}
+        keep = sum(1 << v for v, p in enumerate(vertex_position)
+                   if down >> p & 1)
+        rhs = {s for s, mask in masks.items() if mask & keep == mask}
+        if lhs != rhs:
+            report.mismatches.append((ncp.elements[pos], sorted(lhs ^ rhs)))
+        report.checked += 1
+    return report
 
 
 @pytest.fixture(scope="session")

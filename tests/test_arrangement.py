@@ -12,8 +12,8 @@ from ncph.arrangement import (GenericityError, _floor_sqrt_of_scaled,
                               canonical_ray, generic_vector,
                               ray_separation_bound, separation_minimum)
 from ncph.fields import quadratic_field, rationals
-from ncph.linalg import Matrix, vec_add, vec_key, vec_neg
-from conftest import bundle_for, interior_point
+from ncph.linalg import Matrix, vec_key, vec_neg
+from conftest import bundle_for, interior_point, vec_add
 
 SECOND_ROUTE_GROUPS = [("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4),
                        ("F", 4)]

@@ -17,7 +17,13 @@ from ncph.coxeter import BudgetExceededError
 from ncph.embed import flat_covers, flat_leq, intersection_lattice
 from ncph.fields import rationals
 from ncph.linalg import Matrix
-from conftest import bundle_for, full_subcomplex, restricted_complex
+from conftest import (bundle_for, full_subcomplex, reference_fiber_report,
+                      reference_mobius_number, restricted_complex, walk_ncp)
+
+# every group whose NC(W) side the verify suites check, both class orders
+NC_GROUPS = [(label, rank, swap) for label, rank in [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4),
+    ("B", 4), ("F", 4), ("H", 4), ("E", 6)] for swap in (False, True)]
 
 
 def test_ncp_rank_one():
@@ -58,6 +64,20 @@ def test_build_ncp_matches_its_definition(label, rank, swap):
     ncp = build_ncp(system)
     assert (ncp.elements, ncp.covers) == _reference_ncp(system)
     assert ncp.position == {w: p for p, w in enumerate(ncp.elements)}
+
+
+@pytest.mark.parametrize("label,rank,swap", NC_GROUPS)
+def test_build_ncp_matches_the_walk_over_every_reflection(label, rank, swap):
+    system = bundle_for(label, rank, swap).system
+    ncp, walked = build_ncp(system), walk_ncp(system)
+    assert (ncp.elements, ncp.covers) == (walked.elements, walked.covers)
+
+
+@pytest.mark.parametrize("label,rank,swap", NC_GROUPS)
+def test_up_sets_mirror_the_down_sets(label, rank, swap):
+    ncp = bundle_for(label, rank, swap).ncp
+    assert all((ncp.above[a] >> b & 1) == (a == b or ncp.below[b] >> a & 1)
+               for a in range(ncp.size) for b in range(ncp.size))
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 3)])
@@ -298,6 +318,39 @@ def test_fiber_report_reports_a_table_missing_a_simplex(b3):
     assert all(diff == [edge] for _, diff in report.mismatches)
 
 
+def _fiber_tables(bundle):
+    """The true table of simplex images, the table without one simplex of
+    size max(1, n - 1), the table sending that simplex to the next NC(W)
+    element in position order, and the table sending a facet to an atom.
+    A facet lies outside the (n-2)-skeleton, so the last table breaks no
+    fiber."""
+    images, ncp = bundle.simplex_images, bundle.ncp
+    simplex = next(s for s in images if len(s) == max(1, bundle.system.rank - 1))
+    dropped = {s: u for s, u in images.items() if s != simplex}
+    wrong = dict(images)
+    wrong[simplex] = ncp.elements[(ncp.position[images[simplex]] + 1)
+                                  % ncp.size]
+    facet = dict(images)
+    facet[bundle.root_complex.facets[0]] = ncp.elements[1]
+    return {"true": images, "dropped": dropped, "wrong": wrong,
+            "facet": facet}
+
+
+@pytest.mark.parametrize("label,rank,swap", NC_GROUPS)
+def test_fiber_report_matches_the_per_element_scan(label, rank, swap):
+    """The per-simplex up-set check against one scan of every simplex per
+    proper element, on the true table and on three altered ones."""
+    bundle = bundle_for(label, rank, swap)
+    args = bundle.ordered, bundle.root_complex, bundle.ncp
+    for name, images in _fiber_tables(bundle).items():
+        report = fiber_report(*args, images)
+        reference = reference_fiber_report(*args, images)
+        assert (report.checked, report.mismatches) == (
+            reference.checked, reference.mismatches), name
+        assert report.checked == bundle.ncp.size - 2
+        assert report.ok == (name in ("true", "facet") or rank == 1), name
+
+
 def test_order_complex_antichain_and_chain():
     antichain = order_complex([[], [], []])
     assert antichain.facets == ((0,), (1,), (2,))
@@ -475,6 +528,15 @@ def test_mobius_numbers(a2, b3):
     assert bundle_for("A", 1).ncp.mobius_number() == -1
     assert a2.ncp.mobius_number() == 2
     assert b3.ncp.mobius_number() == -10
+
+
+@pytest.mark.parametrize("label,rank,swap", NC_GROUPS)
+def test_mobius_number_matches_the_full_recursion_and_the_facets(
+        label, rank, swap):
+    bundle = bundle_for(label, rank, swap)
+    mu = bundle.ncp.mobius_number()
+    assert mu == reference_mobius_number(bundle.ncp)
+    assert mu == (-1) ** rank * len(bundle.root_complex.facets)
 
 
 def test_simplex_budget():

@@ -17,8 +17,8 @@ from ncph.embed import (EmbedError, VertexComplex, embedding_report,
                         pairing_report, rays_as_flats_check, vertex_operator)
 from ncph.exports import export_embed, export_lattice
 from ncph.fields import Scalar
-from ncph.linalg import Matrix, vec_add, vec_key, vec_scale, vec_sub
-from conftest import bundle_for
+from ncph.linalg import Matrix, vec_key, vec_scale, vec_sub
+from conftest import bundle_for, vec_add
 
 
 def test_rank_one_operator_is_identity():

@@ -10,6 +10,7 @@ from ncph.fields import (FieldError, NumberField, _count_roots,
                          _int_pseudo_divmod, _poly_derivative,
                          cos2pi_minimal_polynomial, cosine_field,
                          quadratic_field, rationals)
+from conftest import field_interval, from_coords
 
 
 def test_interval_must_isolate_one_root():
@@ -140,7 +141,7 @@ def test_integer_bisection_matches_rational_bisection():
         field = NumberField(catalog.minimal_polynomial,
                             catalog._initial_interval, catalog.name)
         poly = field.minimal_polynomial
-        lo, hi = field.interval()
+        lo, hi = field_interval(field)
         assert (lo, hi) == catalog._initial_interval
         at_lo = _Oracle._eval(poly, lo) > 0
         for _ in range(80):
@@ -152,7 +153,7 @@ def test_integer_bisection_matches_rational_bisection():
             field.refine_interval()
             a, b, q = field._scaled_interval
             assert q > 0 and math.gcd(a, b, q) == 1     # lowest terms
-            assert field.interval() == (lo, hi)
+            assert field_interval(field) == (lo, hi)
 
 
 def test_rationals_are_built_by_the_number_field_constructor():
@@ -207,9 +208,9 @@ def test_sign_zero_by_coordinates():
 def test_field_axioms_random():
     random.seed(20240211)
     for field in (quadratic_field(5), cosine_field(10)):
-        scalars = [field.from_coords([Fraction(random.randint(-9, 9),
-                                               random.randint(1, 9))
-                                      for _ in range(field.degree)])
+        scalars = [from_coords(field, [Fraction(random.randint(-9, 9),
+                                                random.randint(1, 9))
+                                       for _ in range(field.degree)])
                    for _ in range(60)]
         for i in range(0, 60, 3):
             x, y, z = scalars[i], scalars[i + 1], scalars[i + 2]
@@ -226,7 +227,7 @@ def test_sign_matches_float_interval_on_1000_scalars():
     for _ in range(1000):
         coords = [Fraction(random.randint(-50, 50), random.randint(1, 20))
                   for _ in range(2)]
-        x = field.from_coords(coords)
+        x = from_coords(field, coords)
         approx = float(coords[0]) + float(coords[1]) * t
         if abs(approx) > 1e-9:  # the crude interval excludes zero
             assert x.sign() == (1 if approx > 0 else -1)
@@ -261,7 +262,7 @@ def test_zero_divisor_detected_lazily():
     # a reducible modulus that the Sturm count accepts; arithmetic must stay
     # sound
     field = NumberField((-4, 0, 1), (1, 3), "Q[x]/(x^2-4)")
-    bad = field.from_coords((2, -1))  # 2 - theta, vanishes at theta = 2
+    bad = from_coords(field, (2, -1))  # 2 - theta, vanishes at theta = 2
     with pytest.raises(FieldError):
         bad.inverse()
     # bisection hits the rational root 2
@@ -313,7 +314,7 @@ class _Oracle:
             powers.append(tuple((prev[i - 1] if i else 0) + prev[-1] * tail[i]
                                 for i in range(self.d)))
         self.powers = powers
-        lo, hi = field.interval()
+        lo, hi = field_interval(field)
         self.lo, self.hi = lo, hi
         self.sign_at_lo = self._eval(self.poly, lo) > 0
 
@@ -403,7 +404,7 @@ def test_kernel_matches_rational_coordinate_arithmetic(name):
     rng = random.Random(f"kernel:{name}")
     values = [_random_coords(rng, field.degree) for _ in range(80)]
     values += [(Fraction(0),) * field.degree, (Fraction(1),) + (Fraction(0),) * (field.degree - 1)]
-    scalars = [field.from_coords(c) for c in values]
+    scalars = [from_coords(field, c) for c in values]
     for x, cx in zip(scalars, values):
         assert x.coords == cx
         assert all(type(c) is Fraction for c in x.coords)
@@ -426,7 +427,7 @@ def test_kernel_matches_rational_coordinate_arithmetic(name):
         if any(cy):
             assert (x / y).coords == oracle.mul(cx, oracle.inverse(cy))
         # equal values built along different routes: equal keys and hashes
-        same = field.from_coords(product.coords)
+        same = from_coords(field, product.coords)
         assert same == product and hash(same) == hash(product)
         assert (x == y) == (cx == cy)
         assert (product - same).sign() == 0
@@ -440,7 +441,7 @@ def test_integer_interval_sign_matches_rational_interval_sign(name):
     decided = undecided = 0
     for _ in range(300):
         coords = _random_coords(rng, field.degree)
-        x = field.from_coords(coords)
+        x = from_coords(field, coords)
         # any interval will do, also one that misses theta
         a = lo - 2 + (hi - lo + 2) * Fraction(rng.randint(0, 100), 97)
         b = a + Fraction(rng.randint(1, 300), rng.choice((100, 7, 1000)))
@@ -460,8 +461,8 @@ def test_dot_reduces_once_to_the_sum_of_products(name):
     rng = random.Random(f"dot:{name}")
     for n in range(1, 6):
         for _ in range(20):
-            u = tuple(field.from_coords(_random_coords(rng, field.degree)) for _ in range(n))
-            v = tuple(field.from_coords(_random_coords(rng, field.degree)) for _ in range(n))
+            u = tuple(from_coords(field, _random_coords(rng, field.degree)) for _ in range(n))
+            v = tuple(from_coords(field, _random_coords(rng, field.degree)) for _ in range(n))
             expected = field.zero
             for a, b in zip(u, v):
                 expected = expected + a * b
@@ -486,7 +487,7 @@ def test_vec_key_sorts_like_rational_coordinates():
         for _ in range(200):
             coords = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                                  for _ in range(field.degree)) for _ in range(3))
-            rows.append((coords, tuple(field.from_coords(c) for c in coords)))
+            rows.append((coords, tuple(from_coords(field, c) for c in coords)))
         by_key = [coords for coords, _ in sorted(rows, key=lambda r: vec_key(r[1]))]
         assert by_key == sorted(coords for coords, _ in rows)
 
@@ -502,7 +503,7 @@ def test_quadratic_inverse_by_the_norm(d, monkeypatch):
     monkeypatch.setattr(ncph.fields, "_int_inverse", no_euclid)
     field = quadratic_field(d)
     for a, b in ((1, 1), (3, -2), (0, 5), (7, 0), (-4, 9)):
-        x = field.from_coords((Fraction(a, 3), Fraction(b, 2)))
+        x = from_coords(field, (Fraction(a, 3), Fraction(b, 2)))
         assert x * x.inverse() == field.one
         assert x.inverse().coords == _Oracle(field).inverse(x.coords)
 
@@ -518,8 +519,8 @@ def test_zero_divisor_detected_in_degree_four():
     field = NumberField((6, 0, -5, 0, 1), (1, Fraction(3, 2)),
                         "Q[x]/((x^2-2)(x^2-3))")
     with pytest.raises(FieldError):
-        field.from_coords((-2, 0, 1, 0)).inverse()
-    x = field.from_coords((1, 1, 0, 0))
+        from_coords(field, (-2, 0, 1, 0)).inverse()
+    x = from_coords(field, (1, 1, 0, 0))
     assert x * x.inverse() == field.one
 
 
@@ -547,10 +548,10 @@ def test_theta_float_does_not_depend_on_the_refinement(name, make):
                            catalog._initial_interval, catalog.name)
 
     first = fresh()
-    before = first.interval()
+    before = field_interval(first)
     theta = first.theta_float()
-    assert first.interval() == before     # bisects a copy
-    x = first.from_coords(range(1, first.degree + 1))
+    assert field_interval(first) == before     # bisects a copy
+    x = from_coords(first, range(1, first.degree + 1))
     value = float(x)
     for _ in range(40):
         first.refine_interval()
@@ -564,5 +565,5 @@ def test_theta_float_does_not_depend_on_the_refinement(name, make):
     narrow = fresh()
     for _ in range(100):
         narrow.refine_interval()
-    lo, hi = narrow.interval()
+    lo, hi = field_interval(narrow)
     assert float(lo) == float(hi) == theta

@@ -8,6 +8,7 @@ import pytest
 from ncph.coxeter import CoxeterDiagram, CoxeterSystem
 from ncph.fields import quadratic_field, rationals
 from ncph.linalg import Matrix
+from conftest import from_coords
 
 
 def test_identity_rank():
@@ -58,8 +59,8 @@ def test_inverse_times_matrix_is_identity_up_to_dim8():
 def test_inverse_over_quadratic_field():
     field = quadratic_field(5)
     random.seed(3)
-    m = Matrix(field, [[field.from_coords((random.randint(-3, 3),
-                                           random.randint(-2, 2)))
+    m = Matrix(field, [[from_coords(field, (random.randint(-3, 3),
+                                            random.randint(-2, 2)))
                         for _ in range(4)] for _ in range(4)])
     assert m.rank() == 4
     assert m.inverse() * m == Matrix.identity(field, 4)

@@ -5,11 +5,11 @@ import pytest
 from ncph.coxeter import CoxeterDiagram, CoxeterSystem
 from ncph.linalg import Matrix, vec_key
 from ncph.rootorder import ordered_roots
-from conftest import bundle_for, interior_point
+from conftest import bundle_for, from_coords, interior_point
 
 
 def _coords(field, *pairs):
-    return tuple(field.from_coords(p) for p in pairs)
+    return tuple(from_coords(field, p) for p in pairs)
 
 
 def test_a2_sequence_frozen():
