@@ -329,8 +329,8 @@ def fiber_report(ordered: OrderedRoots, xc: SimplicialComplex,
     vertex_above = [above[position[t]] for t in ordered.reflection_index]
     restricted: dict[tuple, int] = {}
     for s in xc.all_simplices():
-        restricted[s] = (restricted.get(s[:-1], proper)
-                         & vertex_above[s[-1]])
+        face = restricted[s[:-1]] if len(s) > 1 else proper
+        restricted[s] = face & vertex_above[s[-1]]
     broken: dict[int, list[tuple]] = {}
     for s in restricted.keys() | images.keys():
         u = images.get(s)

@@ -9,9 +9,7 @@ generate: Q for types A, D and E, Q(sqrt2) for B and F, Q(sqrt5) for H,
 Q(sqrt3) for G2 and Q(2cos(pi/m)) for I2(m).  Nothing needs a square root,
 and W is finite exactly when B is positive definite.  The group acts on
 the nh roots, and each element is stored as a permutation of root ids
-(the permutation model of CHEVIE/GAP); in rank 2 the roots and the
-simple reflections' permutations come from a Chebyshev closed form, in
-the id order of the orbit closure.  A linear map is fixed by the
+(the permutation model of CHEVIE/GAP).  A linear map is fixed by the
 images of a basis, so an element is keyed by the ids of its n columns
 w(a_1), ..., w(a_n): the group is generated breadth-first on those keys,
 composing a full permutation once per new element, and a product, an
@@ -262,30 +260,6 @@ def simple_orbit(seeds: list[Vector], reflection_rows: list[Vector]
     return vectors, ids, [tuple(row) for row in images]
 
 
-def dihedral_orbit(t: Scalar, m: int
-                   ) -> tuple[list[Vector], dict[tuple, int], list[tuple[int, ...]]]:
-    """``simple_orbit`` of the simple roots of I2(m), in closed form, for
-    t = -2 B_12 = 2 cos(pi/m).  The root at angle j pi/m is labelled j and
-    is (U_j, U_(j-1)), where U_-1 = 0, U_0 = 1, U_(k+1) = t U_k - U_(k-1)
-    and U_(k+m) = -U_k; s_1 sends label j to m - j and s_2 to 3m - 2 - j,
-    mod 2m.  The breadth-first closure is replayed on the labels (the
-    simple roots are labels 0 and m - 1), so the ids are those of
-    ``simple_orbit``, and no dot product is taken."""
-    u = [t.field.zero, t.field.one]           # u[k + 1] = U_k
-    for _ in range(m - 1):
-        u.append(t * u[-1] - u[-2])
-    u += [-x for x in u[1:]]
-
-    def reflect(j: int) -> tuple[int, int]:
-        return (m - j) % (2 * m), (3 * m - 2 - j) % (2 * m)
-
-    labels = closure([0, m - 1], reflect)
-    id_of = {j: k for k, j in enumerate(labels)}
-    vectors = [(u[j + 1], u[j]) for j in labels]
-    perms = [tuple(id_of[reflect(j)[i]] for j in labels) for i in range(2)]
-    return vectors, {v: k for k, v in enumerate(vectors)}, perms
-
-
 def _compose(w: tuple[int, ...], r: tuple[int, ...]) -> tuple[int, ...]:
     """The root permutation of the product w r: k -> w(r(k)).  There are
     always at least two roots, so ``itemgetter`` returns a tuple."""
@@ -400,14 +374,9 @@ class CoxeterSystem:
 
     def _close_roots(self):
         """All roots, as the orbit of the simple roots under the simple
-        reflections, and each simple reflection as a permutation of them;
-        in rank 2 they are read off the dihedral closed form."""
-        if self.rank == 2:
-            roots, root_id, self.simple_perms = dihedral_orbit(
-                -2 * self.gram.rows[0][1], self.diagram.matrix[0][1])
-        else:
-            roots, root_id, self.simple_perms = simple_orbit(
-                self.simple_roots, self._reflection_rows)
+        reflections, and each simple reflection as a permutation of them."""
+        roots, root_id, self.simple_perms = simple_orbit(
+            self.simple_roots, self._reflection_rows)
         self.roots = roots
         self.root_id = root_id
         self.negative = [root_id[vec_neg(v)] for v in roots]

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
-                          NotFiniteTypeError, bipartite_order, simple_orbit)
-from ncph.linalg import Matrix, dot
+                          NotFiniteTypeError, bipartite_order)
+from ncph.linalg import Matrix
 from conftest import bfs_reflection_lengths, bundle_for, interior_point
 
 
@@ -110,28 +110,6 @@ def test_rank_two_lengths_take_no_exact_rank(monkeypatch):
     monkeypatch.setattr(Matrix, "rank", no_rank)
     system = CoxeterSystem(CoxeterDiagram.from_type("I", 7))
     assert sorted(system.lengths) == [0] + [1] * 7 + [2] * 6
-
-
-@pytest.mark.parametrize("swap", [False, True])
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 12, 25])
-def test_rank_two_roots_match_the_orbit_closure(m, swap, monkeypatch):
-    """The dihedral closed form against the breadth-first orbit of the
-    simple roots under exact reflections: the same vectors under the same
-    ids, and the same simple reflection permutations.  The system itself
-    takes no dot product."""
-    diagram = CoxeterDiagram.from_type("I", m)
-    with monkeypatch.context() as patched:
-        def no_dot(*_):
-            raise AssertionError("rank-2 roots took a dot product")
-
-        patched.setattr("ncph.coxeter.dot", no_dot)
-        system = CoxeterSystem(diagram, swap_classes=swap)
-    roots, ids, perms = simple_orbit(system.simple_roots,
-                                     system._reflection_rows)
-    assert (system.roots, system.root_id, system.simple_perms) == (
-        roots, ids, perms)
-    assert len(roots) == 2 * m
-    assert all(dot(r, system.lower(r)) == system.field.one for r in roots)
 
 
 def _pairs(system, sample):
