@@ -18,9 +18,9 @@ touches the number field.  The rotation c is the product of the
 simple root permutations in bipartite order, and the reflection of every
 root, with its sign, is read off the breadth-first root orbit by
 conjugating along it.  Reflection length is the fixed-space
-codimension, a class function, so it costs one exact rank per conjugacy
-class (none in rank 2, where it is 0, 1 or 2 by kind); it is
-cross-checked elsewhere against a breadth-first word oracle.
+codimension, a class function: its fixed dimension is one integer trace
+average over the powers of an element per conjugacy class (none in rank
+2, where it is 0, 1 or 2 by kind), checked elsewhere by words and ranks.
 The exact matrix of an element, c's included, has the images of the
 simple roots as its columns and is built only on demand.
 """
@@ -35,7 +35,7 @@ from typing import Optional
 
 from .fields import (NumberField, Scalar, cos_pi_over, cosine_field,
                      quadratic_field, rationals)
-from .linalg import Matrix, Vector, dot, vec_key, vec_neg, vec_sub
+from .linalg import Matrix, Vector, dot, vec_key, vec_neg
 
 DEFAULT_GROUP_CAP = 2_000_000
 
@@ -279,22 +279,6 @@ def _getter(rank: int):
     return itemgetter if rank > 1 else lambda k: lambda w: (w[k],)
 
 
-def _order(w: tuple[int, ...]) -> int:
-    """The order of a permutation: the lcm of its cycle lengths."""
-    seen = [False] * len(w)
-    order = 1
-    for start in range(len(w)):
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = w[k]
-            length += 1
-        if length:
-            order = math.lcm(order, length)
-    return order
-
-
 class CoxeterSystem:
     """A realized finite Coxeter system with its generated group.
 
@@ -312,7 +296,7 @@ class CoxeterSystem:
     index.  Products, inverses, conjugation and the absolute order are
     integer work on keys; exact matrices are built on demand by
     :meth:`matrix`.  ``lengths``, when given (as read back from a cache),
-    replaces the per-class rank computation and must have one entry per
+    replaces the per-class trace averages and must have one entry per
     element.
     """
 
@@ -415,7 +399,7 @@ class CoxeterSystem:
         self.e_index = 0
         c = reduce(_compose, self.simple_perms)
         self.c_index = index[c[:n]]
-        self.h = _order(c)
+        self.h = len(closure([keys[0]], lambda key: [getter(*key)(c)]))
         # w^-1(a_j) is the root whose id w sends to j
         self.inverses = [index[tuple(map(w.index, range(n)))] for w in perms]
 
@@ -440,13 +424,15 @@ class CoxeterSystem:
             key=itemgetter(0))
 
     def _class_lengths(self) -> list[int]:
-        """Reflection length l(w) = codim Fix(w) = rank(w - I), a class
-        function: one exact rank per conjugacy class, spread over the class
-        by conjugating with the simple reflections, whose key s w s (a_j) =
-        s(w(s(a_j))) is read off the permutations.  The vectors
-        w(a_j) - a_j are the columns of w - I in simple-root coordinates.
-        In rank at most 2 no rank is taken: e has length 0, a reflection 1
-        and every other element, a rotation, 2."""
+        """Reflection length l(w) = codim Fix(w), a class function: dim
+        Fix(w) = (1/m) sum_{k<m} tr(w^k) for the order m of w, and tr(w)
+        sums coordinate j of w(a_j), as integer numerators over the common
+        denominator D of the root coordinates.  One element per class walks
+        its powers on keys, and the sum must be a rational multiple of
+        m D.  The value is spread over the class by conjugating with the
+        simple reflections, whose key s w s (a_j) = s(w(s(a_j))) is read
+        off the permutations.  In rank at most 2 no trace is taken: e has
+        length 0, a reflection 1 and every other element, a rotation, 2."""
         n, getter = self.rank, self._getter
         if n <= 2:
             lengths = [2] * self.order
@@ -454,18 +440,26 @@ class CoxeterSystem:
             for t, _ in self.reflections:
                 lengths[t] = 1
             return lengths
-        perms, index = self.perms, self.index_of
+        perms, index, e = self.perms, self.index_of, self.keys[self.e_index]
         inner = [(getter(*g[:n]), g) for g in self.simple_perms]
+        den = math.lcm(*(x.den for root in self.roots for x in root))
         lengths = [-1] * self.order
-        for start, key in enumerate(self.keys):
+        for start, w in enumerate(perms):
             if lengths[start] >= 0:
                 continue
-            value = Matrix(self.field, [
-                vec_sub(self.roots[k], self.roots[j])
-                for j, k in enumerate(key)]).rank()
+            powers = closure([e], lambda key: [getter(*key)(w)])
+            trace = [0] * self.field.degree
+            for coord in (self.roots[k][j] for key in powers
+                          for j, k in enumerate(key)):
+                trace = [a + c * (den // coord.den)
+                         for a, c in zip(trace, coord.num)]
+            fixed, rest = divmod(trace[0], len(powers) * den)
+            if rest or any(trace[1:]):
+                raise ArithmeticError(f"element {start}: trace sum {trace} is "
+                                      f"not a multiple of {len(powers) * den}")
             for y in closure([start], lambda x: [
                     index[getter(*step(perms[x]))(g)] for step, g in inner]):
-                lengths[y] = value
+                lengths[y] = n - fixed
         return lengths
 
     # -- group queries ---------------------------------------------------------

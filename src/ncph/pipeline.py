@@ -5,7 +5,7 @@ configs produce byte-identical outputs.  The bundle builds each artifact on
 first use.  The system's Coxeter number and reflection lengths can be
 cached on disk under a content hash of the config; a cached system is
 built by the same code as a fresh one, with the cached lengths in place of
-the per-class ranks, and must reproduce the cached h.
+the per-class trace averages, and must reproduce the cached h.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ def _load_system_cache(config: RunConfig) -> Optional[CoxeterSystem]:
 
 def _system_from_cache(config: RunConfig, payload: dict) -> Optional[CoxeterSystem]:
     """The system built with the cached lengths.  None if h or the lengths
-    have the wrong type, or if the cached h differs; a lengths list of the
-    wrong size raises ValueError."""
+    have the wrong type, if the cached h differs, or unless e, each
+    reflection and c have lengths 0, 1 and n; a lengths list of the wrong
+    size raises ValueError."""
     diagram = config.diagram()
     h, lengths = payload["h"], payload["lengths"]
     if not (type(h) is int and isinstance(lengths, list)
@@ -209,4 +210,7 @@ def _system_from_cache(config: RunConfig, payload: dict) -> Optional[CoxeterSyst
         return None
     system = CoxeterSystem(diagram, config.swap_classes,
                            group_cap=config.group_cap, lengths=lengths)
-    return system if system.h == h else None
+    known = [(system.e_index, 0), (system.c_index, system.rank)] + [
+        (t, 1) for t, _ in system.reflections]
+    ok = system.h == h and all(lengths[i] == k for i, k in known)
+    return system if ok else None

@@ -9,6 +9,7 @@ from ncph.complexes import (ComplexError, FiberReport, NcpLattice,
                             SimplicialComplex)
 from ncph.coxeter import closure
 from ncph.fields import FieldError
+from ncph.linalg import Matrix, vec_sub
 from ncph.pipeline import Bundle, RunConfig
 
 
@@ -63,6 +64,25 @@ def bfs_reflection_lengths(system) -> list[int]:
                     nxt.append(j)
         frontier = nxt
     return dist
+
+
+def rank_reflection_lengths(system) -> list[int]:
+    """Second route to ``system.lengths``: l(w) = rank(w - I), the exact
+    rank in the number field of the columns w(a_j) - a_j, one rank per
+    conjugacy class, spread over the class by products s w s with the
+    simple reflections (elements 1..n)."""
+    lengths = [-1] * system.order
+    for start, key in enumerate(system.keys):
+        if lengths[start] >= 0:
+            continue
+        value = Matrix(system.field, [
+            vec_sub(system.roots[k], system.roots[j])
+            for j, k in enumerate(key)]).rank()
+        for y in closure([start], lambda x: [
+                system.product(system.product(s, x), s)
+                for s in range(1, system.rank + 1)]):
+            lengths[y] = value
+    return lengths
 
 
 def full_subcomplex(complex_: SimplicialComplex, keep) -> SimplicialComplex:

@@ -8,7 +8,8 @@ import pytest
 from ncph.coxeter import (BudgetExceededError, CoxeterDiagram, CoxeterSystem,
                           NotFiniteTypeError, bipartite_order)
 from ncph.linalg import Matrix
-from conftest import bfs_reflection_lengths, bundle_for, interior_point
+from conftest import (bfs_reflection_lengths, bundle_for, interior_point,
+                      rank_reflection_lengths)
 
 
 def test_bipartite_order_examples():
@@ -103,13 +104,41 @@ def test_length_equals_bfs_word_length(label, rank):
     assert bfs_reflection_lengths(system) == system.lengths
 
 
-def test_rank_two_lengths_take_no_exact_rank(monkeypatch):
+@pytest.mark.parametrize("label,rank", [
+    ("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4), ("B", 4), ("F", 4)])
+def test_swapped_lengths_equal_bfs_word_length(label, rank):
+    system = bundle_for(label, rank, True).system
+    assert bfs_reflection_lengths(system) == system.lengths
+
+
+@pytest.mark.parametrize("label,rank", [("H", 4), ("E", 6)])
+def test_lengths_equal_the_exact_rank_of_w_minus_one(label, rank):
+    system = bundle_for(label, rank).system
+    assert rank_reflection_lengths(system) == system.lengths
+
+
+@pytest.mark.parametrize("label,rank,swap", [
+    ("I", 7, False), ("A", 3, False), ("B", 3, False), ("B", 3, True),
+    ("H", 3, False), ("D", 4, False), ("F", 4, False)])
+def test_system_build_takes_no_exact_rank(monkeypatch, label, rank, swap):
     def no_rank(*_):
-        raise AssertionError("rank-2 lengths took an exact rank")
+        raise AssertionError("the system build took an exact rank")
 
     monkeypatch.setattr(Matrix, "rank", no_rank)
-    system = CoxeterSystem(CoxeterDiagram.from_type("I", 7))
-    assert sorted(system.lengths) == [0] + [1] * 7 + [2] * 6
+    system = CoxeterSystem(CoxeterDiagram.from_type(label, rank), swap)
+    assert system.lengths == bfs_reflection_lengths(system)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("H", 3)])
+def test_a_trace_sum_off_a_multiple_of_m_d_raises(label, rank):
+    # a_1 + 1 (A3) puts e's length at -1 and the average over s_1 at a
+    # half; a_1 + theta (H3) leaves an irrational part in e's trace
+    system = CoxeterSystem(CoxeterDiagram.from_type(label, rank))
+    field = system.field
+    bump = field.theta if field.degree > 1 else field.one
+    system.roots[0] = (field.one + bump,) + system.roots[0][1:]
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        system._class_lengths()
 
 
 def _pairs(system, sample):

@@ -11,7 +11,7 @@ from ncph import serialize
 from ncph.fields import cosine_field, quadratic_field, rationals
 from ncph.pipeline import Bundle, RunConfig
 from ncph.verify import run_suites
-from conftest import from_coords
+from conftest import bundle_for, from_coords
 
 
 def test_config_hash_depends_on_inputs():
@@ -101,6 +101,17 @@ def _edit_list(*path, edit):
     return mutate
 
 
+def _set_length(element, value):
+    """Set the cached length of A2's e, c or last reflection."""
+    def mutate(payload):
+        system = bundle_for("A", 2).system
+        index = {"e": system.e_index, "c": system.c_index,
+                 "t": system.reflections[-1][0]}[element]
+        payload["lengths"][index] = value
+        return payload
+    return mutate
+
+
 # "field" and "simpleRoots" are keys the writer no longer writes: a payload
 # that carries them is of another layout and is rebuilt as well
 MALFORMED = {
@@ -121,6 +132,10 @@ MALFORMED = {
     "wrong h": _set("h", 4),
     "truncated lengths": _edit_list("lengths", edit=list.pop),
     "extended lengths": _edit_list("lengths", edit=lambda x: x.append(0)),
+    "e has length 1": _set_length("e", 1),
+    "a reflection has length 0": _set_length("t", 0),
+    "a reflection has length 2": _set_length("t", 2),
+    "c has length 1": _set_length("c", 1),
     "payload is a list": lambda payload: [payload],
 }
 
