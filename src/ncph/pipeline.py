@@ -3,14 +3,17 @@
 A RunConfig identifies a computation completely; two runs with equal
 configs produce byte-identical outputs.  The bundle builds each artifact on
 first use.  The system's Coxeter number and reflection lengths can be
-cached on disk under a content hash of the config; a cached system is
-built by the same code as a fresh one, with the cached lengths in place of
-the per-class trace averages, and must reproduce the cached h.
+cached on disk under the config's key: the first 16 hex digits of the
+SHA-256 of its canonical JSON, which the verify report also gives as
+``configHash``.  The key is computed by CPython's built-in SHA-256 module,
+so no ncph process loads OpenSSL.  A cached system is built by the same
+code as a fresh one, with the cached lengths in place of the per-class
+trace averages, and must reproduce the cached h; a cache file whose stored
+config differs from the run's is rebuilt.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +33,16 @@ from .coxeter import (DEFAULT_GROUP_CAP, CoxeterDiagram, CoxeterSystem)
 from .embed import EmbeddingReport, VertexComplex, embedding_report, vertex_complex
 from .rootorder import OrderedRoots, ordered_roots
 from .serialize import write_json
+
+# the built-in module (_sha2 from 3.12, _sha256 before) loads no OpenSSL,
+# which hashlib's sha256 does; hashlib falls back to the same module
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 CACHE_VERSION = 3
 
@@ -64,7 +77,7 @@ class RunConfig:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        return sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def cache_path(self) -> Path:
         return Path(self.out_dir) / "cache" / self.content_hash() / "system.json"
@@ -181,8 +194,9 @@ def _write_system_cache(config: RunConfig, system: CoxeterSystem) -> None:
 
 def _load_system_cache(config: RunConfig) -> Optional[CoxeterSystem]:
     """The cached system, or None when there is no usable cache file: a
-    missing, unreadable, stale or malformed one, or one with other keys
-    than the writer's, is rebuilt by the caller."""
+    missing, unreadable, stale or malformed one, one with other keys than
+    the writer's, or one written for another config, is rebuilt by the
+    caller."""
     path = config.cache_path()
     if not path.is_file():
         return None
@@ -190,7 +204,8 @@ def _load_system_cache(config: RunConfig) -> Optional[CoxeterSystem]:
         payload = json.loads(path.read_text())
         if not (isinstance(payload, dict)
                 and payload.keys() == {"version", "config", "h", "lengths"}
-                and payload["version"] == CACHE_VERSION):
+                and payload["version"] == CACHE_VERSION
+                and payload["config"] == json.loads(config.canonical_json())):
             return None
         return _system_from_cache(config, payload)
     except (ValueError, OSError):

@@ -1,12 +1,18 @@
 """RunConfig hashing, the bundle cache, and exact serialization."""
 
 import dataclasses
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncph
 from ncph import serialize
 from ncph.fields import cosine_field, quadratic_field, rationals
 from ncph.pipeline import Bundle, RunConfig
@@ -22,6 +28,58 @@ def test_config_hash_depends_on_inputs():
                                             swap_classes=True).content_hash()
     assert base.content_hash() != RunConfig(type_label="B", rank=3,
                                             lambda_denominator=32).content_hash()
+
+
+HASHED_CONFIGS = {
+    "A1": RunConfig(type_label="A", rank=1),
+    "I2(7)": RunConfig(type_label="I", rank=7),
+    "B3": RunConfig(type_label="B", rank=3),
+    "B3 swapped": RunConfig(type_label="B", rank=3, swap_classes=True),
+    "matrix": RunConfig(type_label="custom", rank=3,
+                        matrix=((1, 3, 2), (3, 1, 5), (2, 5, 1))),
+    "lambda 32": RunConfig(type_label="A", rank=3, lambda_denominator=32),
+}
+
+
+@pytest.mark.parametrize("name", list(HASHED_CONFIGS))
+def test_content_hash_is_the_sha256_of_the_canonical_json(name):
+    config = HASHED_CONFIGS[name]
+    assert config.content_hash() == hashlib.sha256(
+        config.canonical_json().encode()).hexdigest()[:16]
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports the same ncph as this
+    process; its stdout, stripped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(ncph.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_content_hash_falls_back_to_hashlib_without_the_builtin_module():
+    config = HASHED_CONFIGS["B3 swapped"]
+    out = _run_python(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from ncph.pipeline import RunConfig, sha256\n"
+        "import hashlib\n"
+        "assert sha256 is hashlib.sha256\n"
+        "print(RunConfig(type_label='B', rank=3, swap_classes=True)"
+        ".content_hash())\n")
+    assert out == config.content_hash()
+
+
+def test_importing_ncph_loads_no_openssl():
+    out = _run_python(
+        "import sys\n"
+        "import ncph.cli, ncph.pipeline, ncph.verify, ncph.exports, ncph.render\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+    assert out == "[]"
 
 
 def test_serialize_roundtrip():
@@ -149,6 +207,24 @@ def test_malformed_cache_is_rebuilt_and_rewritten(tmp_path, case):
     path.write_text(json.dumps(MALFORMED[case](json.loads(good))))
     rebuilt = Bundle(config).system
     assert rebuilt.order == 6
+    assert rebuilt.lengths == fresh.lengths
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rank", 2), ("lambdaDenominator", 32), ("swapClasses", True),
+    ("type", "A")])
+def test_cache_written_for_another_config_is_rebuilt(tmp_path, key, value):
+    """A B3 cache file whose stored config differs from the run's, though
+    its h and lengths are B3's, is rebuilt and rewritten."""
+    config = RunConfig(type_label="B", rank=3, out_dir=str(tmp_path), cache=True)
+    fresh = Bundle(config).system
+    path = config.cache_path()
+    good = path.read_text()
+    payload = json.loads(good)
+    payload["config"][key] = value
+    path.write_text(json.dumps(payload))
+    rebuilt = Bundle(config).system
     assert rebuilt.lengths == fresh.lengths
     assert path.read_text() == good
 
