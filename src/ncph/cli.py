@@ -113,7 +113,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = None if (args.all or not args.suite) else [args.suite]
+    names = [args.suite] if args.suite else None
     bundle = Bundle(_config(args))
     report = run_suites(bundle, names)
     out_dir = Path(args.out)
@@ -165,10 +165,11 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     _add_common(p_verify)
-    p_verify.add_argument("--all", action="store_true",
-                          help="run every suite (default)")
-    p_verify.add_argument("--suite", choices=sorted(SUITES),
-                          help="run a single suite")
+    which = p_verify.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true",
+                       help="run every suite (default)")
+    which.add_argument("--suite", choices=sorted(SUITES),
+                       help="run a single suite")
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="rank-3 projection picture (SVG)")

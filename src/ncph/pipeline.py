@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import embed
-from .arrangement import (DEFAULT_DENOMINATOR_BOUND, GenericVector, chambers,
-                          bounded_slice, enumerate_rays, generic_vector,
+from .arrangement import (DEFAULT_DENOMINATOR_BOUND, chambers, bounded_slice,
+                          enumerate_rays, generic_vector,
                           ray_separation_bound)
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         betti_numbers, build_ncp, build_root_complex,
@@ -31,6 +31,7 @@ from .complexes import (DEFAULT_SIMPLEX_BUDGET, NcpLattice, SimplicialComplex,
                         simplex_images)
 from .coxeter import (DEFAULT_GROUP_CAP, CoxeterDiagram, CoxeterSystem)
 from .embed import EmbeddingReport, VertexComplex, embedding_report, vertex_complex
+from .linalg import Vector
 from .rootorder import OrderedRoots, ordered_roots
 from .serialize import write_json
 
@@ -135,17 +136,12 @@ class Bundle:
         return enumerate_rays(self.system)
 
     @cached_property
-    def ray_norms(self) -> list:
-        return [self.system.form(r, r) for r in self.rays]
-
-    @cached_property
     def separation(self) -> Fraction:
         return ray_separation_bound(self.system, self.config.lambda_denominator)
 
     @cached_property
-    def generic(self) -> GenericVector:
-        return generic_vector(self.system, self.ordered.tau, self.separation,
-                              zip(self.rays, self.ray_norms))
+    def generic(self) -> Vector:
+        return generic_vector(self.system, self.ordered.tau, self.separation)
 
     @cached_property
     def chamber_list(self) -> list:
@@ -153,8 +149,7 @@ class Bundle:
 
     @cached_property
     def bounded_flags(self) -> list[bool]:
-        return bounded_slice(self.system, self.chamber_list,
-                             self.generic.vector)
+        return bounded_slice(self.system, self.chamber_list, self.generic)
 
     @cached_property
     def lattice(self) -> list[embed.Flat]:

@@ -122,7 +122,7 @@ def render_svg(bundle: Bundle) -> str:
     if system.rank != 3:
         raise ValueError("rendering is defined for rank 3 only")
     frame = _frame(system.gram)
-    v = _funit(frame, bundle.generic.vector)
+    v = _funit(frame, bundle.generic)
     to_plane = _projector(v)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">',

@@ -104,17 +104,16 @@ def _suite_mobius(bundle: Bundle) -> CheckResult:
 
 def _suite_prop41(bundle: Bundle) -> CheckResult:
     lam = bundle.separation
-    v = bundle.generic.vector
     lam2 = lam * lam
     zeros = 0
     violations = 0
     system = bundle.system
-    co = system.lower(v)
-    for ray, norm in zip(bundle.rays, bundle.ray_norms):
+    co = system.lower(bundle.generic)
+    for ray in bundle.rays:
         p = dot(ray, co)
         if p.sign() == 0:
             zeros += 1
-        if (p * p - norm * lam2).sign() < 0:
+        if (p * p - system.form(ray, ray) * lam2).sign() < 0:
             violations += 1
     return CheckResult("prop41", zeros == 0 and violations == 0, {
         "rays": len(bundle.rays),
@@ -126,7 +125,7 @@ def _suite_prop41(bundle: Bundle) -> CheckResult:
 
 def _suite_prop42(bundle: Bundle) -> CheckResult:
     vc = bundle.vertex_complex
-    bad = nonpositive_slice(bundle.system, vc, bundle.generic.vector)
+    bad = nonpositive_slice(bundle.system, vc, bundle.generic)
     return CheckResult("prop42", not bad, {
         "vertices": len(vc.vertices),
         "nonpositive": len(bad),

@@ -68,7 +68,7 @@ def test_criterion_4_separation_certificate():
     for label, rank in GROUPS:
         bundle = bundle_for(label, rank)
         lam2 = bundle.separation * bundle.separation
-        v = bundle.generic.vector
+        v = bundle.generic
         form = bundle.system.form
         for ray in bundle.rays:
             p = form(ray, v)
@@ -83,7 +83,7 @@ def test_criterion_5_vertex_dot_properties():
         bundle = bundle_for(label, rank)
         vertices = bundle.vertex_complex.vertices
         roots = bundle.ordered.roots
-        v = bundle.generic.vector
+        v = bundle.generic
         n = bundle.system.rank
         form = bundle.system.form
         for i in range(len(roots)):

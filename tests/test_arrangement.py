@@ -9,10 +9,12 @@ from itertools import combinations
 import pytest
 
 from ncph.arrangement import (GenericityError, _floor_sqrt_of_scaled,
-                              canonical_ray, generic_vector,
+                              bounded_slice, canonical_ray, generic_vector,
                               ray_separation_bound, separation_minimum)
 from ncph.fields import quadratic_field, rationals
 from ncph.linalg import Matrix, vec_key, vec_neg
+from ncph.pipeline import Bundle, RunConfig
+from ncph.verify import run_suites
 from conftest import bundle_for, interior_point, vec_add
 
 SECOND_ROUTE_GROUPS = [("A", 3), ("B", 3), ("H", 3), ("A", 4), ("D", 4),
@@ -29,7 +31,7 @@ def test_rank_one_has_no_rays():
     bundle = bundle_for("A", 1)
     assert bundle.rays == []
     assert bundle.separation == Fraction(1)
-    assert bundle.generic.vector == tuple(bundle.ordered.tau[0])
+    assert bundle.generic == tuple(bundle.ordered.tau[0])
 
 
 def test_a2_rays(a2):
@@ -71,7 +73,7 @@ def test_a2_separation_bound(a2):
 def test_separation_inequality_certificate(label, rank):
     bundle = bundle_for(label, rank)
     lam2 = bundle.separation * bundle.separation
-    v = bundle.generic.vector
+    v = bundle.generic
     form = bundle.system.form
     for ray in bundle.rays:
         p = form(ray, v)
@@ -80,21 +82,38 @@ def test_separation_inequality_certificate(label, rank):
 
 
 def test_generic_vector_geometric_weights(a2):
-    gv = a2.generic
-    assert gv.base == 1 + 1 / gv.lam
+    base = 1 + 1 / a2.separation
     t1, t2 = a2.ordered.tau
-    expected = tuple(x + y * gv.base for x, y in zip(t1, t2))
-    assert gv.vector == expected
+    expected = tuple(x + y * base for x, y in zip(t1, t2))
+    assert a2.generic == expected
 
 
 def test_generic_vector_rejects_bad_bound(a2):
     with pytest.raises(GenericityError):
-        generic_vector(a2.system, a2.ordered.tau, Fraction(0),
-                       zip(a2.rays, a2.ray_norms))
+        generic_vector(a2.system, a2.ordered.tau, Fraction(0))
+
+
+@pytest.mark.parametrize("label,rank,rays", [("A", 2, 3), ("H", 3, 31)])
+def test_prop41_counts_every_ray_a_bound_too_large_fails(label, rank, rays):
+    # a fresh bundle: the session's bundles keep their own bound
+    bundle = Bundle(RunConfig(type_label=label, rank=rank, cache=False))
+    bundle.separation = Fraction(10)
+    (check,) = run_suites(bundle, ["prop41"])["checks"]
+    assert check["passed"] is False
+    assert check["status"] == "ok"
+    assert check["details"] == {"rays": rays, "lambda": "10",
+                                "zeroPairings": 0,
+                                "inequalityViolations": rays}
+
+
+def test_bounded_slice_refuses_a_ray_orthogonal_to_the_direction(a2):
+    # the simple root a_1 is orthogonal to the dual ray d_2, a ray of the
+    # fundamental chamber
+    qq = a2.system.field
+    a1 = (qq.one, qq.zero)
+    assert a2.system.form(a1, a2.system.dual_rays[1]).sign() == 0
     with pytest.raises(GenericityError):
-        # a wildly large bound fails the exact re-verification
-        generic_vector(a2.system, a2.ordered.tau, Fraction(10),
-                       zip(a2.rays, a2.ray_norms))
+        bounded_slice(a2.system, a2.chamber_list, a1)
 
 
 def test_bounded_slice_counts(a2, b3):
@@ -183,7 +202,7 @@ def test_separation_minimum_is_taken_over_every_ray_and_root(label, rank):
 @pytest.mark.parametrize("label,rank", SECOND_ROUTE_GROUPS)
 def test_bounded_flags_match_the_per_chamber_sign_test(label, rank):
     bundle = bundle_for(label, rank)
-    v = bundle.generic.vector
+    v = bundle.generic
     expected = []
     for chamber in bundle.chamber_list:
         signs = [bundle.system.form(ray, v).sign()

@@ -51,6 +51,20 @@ def test_verify_single_suite(tmp_path, capsys):
     assert "[PASS] A2 fibers" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--suite", "prop41", "--all"],
+                                   ["--all", "--suite", "prop41"]])
+def test_verify_all_and_suite_are_exclusive(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "A", "3", *flags, "--out", str(tmp_path),
+              "--no-cache"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ncph verify")
+    assert "not allowed with argument" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_all_rank_one(tmp_path, capsys):
     code = main(["verify", "A", "1", "--all", "--out", str(tmp_path),
                  "--no-cache"])

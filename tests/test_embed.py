@@ -46,7 +46,7 @@ def test_dot_identities_exhaustive(label, rank):
     bundle = bundle_for(label, rank)
     system, vc = bundle.system, bundle.vertex_complex
     assert pairing_report(system, vc).ok
-    assert nonpositive_slice(system, vc, bundle.generic.vector) == []
+    assert nonpositive_slice(system, vc, bundle.generic) == []
 
 
 def test_intersection_lattice_a2(a2):
